@@ -7,8 +7,10 @@ from .errors import (
     DegenerateVariance,
     DimensionMismatch,
     DuplicateSampleId,
+    GramOverflow,
     InputError,
     InsufficientColumns,
+    InvalidScenario,
     LengthMismatch,
     NonFiniteInput,
     NumericalDegeneracyError,

@@ -77,8 +77,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["seed"] = args.seed
-    spec = ScenarioSpec.from_json_dict(doc)
+    spec = dataclasses.replace(ScenarioSpec.from_json_dict(doc), seed=args.seed)
     report = run_monte_carlo(
         spec,
         estimators=tuple(args.estimators.split(",")),

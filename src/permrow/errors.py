@@ -41,6 +41,11 @@ class DimensionMismatch(InputError):
     """Rows of a table disagree in length, or the table is too small."""
 
 
+class InvalidScenario(InputError, ValueError):
+    """A scenario configuration has an unknown or missing key, a malformed
+    or out-of-range value, or a given permutation that is not a permutation."""
+
+
 class ParseError(InputError):
     """A cell of a CSV file could not be parsed.
 
@@ -56,6 +61,10 @@ class ParseError(InputError):
 
 class ZeroMatrixError(NumericalDegeneracyError):
     """The row-centered matrix is identically zero; no leading direction exists."""
+
+
+class GramOverflow(NumericalDegeneracyError):
+    """The matrix entries are too large for its Gram product to stay finite."""
 
 
 class ZeroSignal(NumericalDegeneracyError):

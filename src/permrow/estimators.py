@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DegenerateRegressor, InsufficientColumns, NonFiniteInput
 from .matrix import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     CenteredMatrix,
     Ranking,
     SignConvention,
@@ -66,16 +64,11 @@ class _SpectralContext:
 
 
 def _spectral_context(
-    y,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    convention: SignConvention = SignConvention.ROW_MAJORITY,
+    y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> _SpectralContext:
-    values = _as_matrix(y, "observation matrix")
-    centered = center_rows(values)
-    triple = leading_singular_triple(
-        centered, tol=tol, max_iter=max_iter, convention=convention
-    )
+    values = np.asarray(y, dtype=float)
+    centered = center_rows(values)  # validates shape and finiteness
+    triple = leading_singular_triple(centered, convention=convention)
     return _SpectralContext(
         y=values, centered=centered, triple=triple, ranking=rank_vector(triple.v)
     )
@@ -83,7 +76,7 @@ def _spectral_context(
 
 def _spectral_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     v = ctx.triple.v
-    xv = ctx.centered.values @ v
+    xv = ctx.triple.lam * ctx.triple.u
     v_max = float(v.max())
     v_min = float(v.min())
     theta_r = v_max * xv + ctx.centered.row_means
@@ -146,34 +139,25 @@ def _direct_sorting_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
 
 
 def spectral_extremes(
-    y,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    convention: SignConvention = SignConvention.ROW_MAJORITY,
+    y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> ExtremeEstimates:
     """Spectral estimates: theta_r = v_(p) Xv + (1/p) Y e, and the left/range analogues."""
-    return _spectral_from_context(_spectral_context(y, tol, max_iter, convention))
+    return _spectral_from_context(_spectral_context(y, convention))
 
 
 def regression_extremes(
-    y,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    convention: SignConvention = SignConvention.ROW_MAJORITY,
+    y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> ExtremeEstimates:
     """Two-step form: sort columns by the recovered permutation, then per-row OLS
     on the sorted scores.  Numerically identical to ``spectral_extremes``."""
-    return _regression_from_context(_spectral_context(y, tol, max_iter, convention))
+    return _regression_from_context(_spectral_context(y, convention))
 
 
 def direct_sorting_extremes(
-    y,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    convention: SignConvention = SignConvention.ROW_MAJORITY,
+    y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> ExtremeEstimates:
     """Baseline: the observed columns ranked last/first by the score vector."""
-    return _direct_sorting_from_context(_spectral_context(y, tol, max_iter, convention))
+    return _direct_sorting_from_context(_spectral_context(y, convention))
 
 
 def order_statistic_extremes(y) -> ExtremeEstimates:

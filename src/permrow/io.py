@@ -48,6 +48,7 @@ def load_coverage_csv(path) -> CoverageTable:
         if p < 2:
             raise DimensionMismatch("need at least 2 position columns")
         ids: list[str] = []
+        seen: set[str] = set()
         rows: list[list[float]] = []
         for i, record in enumerate(reader, start=2):
             if len(record) != p + 1:
@@ -55,8 +56,9 @@ def load_coverage_csv(path) -> CoverageTable:
                     f"row {i} has {len(record)} fields, expected {p + 1}"
                 )
             sample_id = record[0]
-            if sample_id in ids:
+            if sample_id in seen:
                 raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
+            seen.add(sample_id)
             ids.append(sample_id)
             rows.append([_parse_cell(c, i, j) for j, c in enumerate(record[1:], start=2)])
     if len(rows) < 2:

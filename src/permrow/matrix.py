@@ -1,8 +1,9 @@
 """Dense-matrix primitives.
 
-Row centering, the leading singular triple of the centered matrix via power
-iteration on the small (n x n) Gram matrix, ranking/permutation machinery,
-and a residual-spectrum diagnostic for the approximate rank-one condition.
+Row centering, the leading singular triple of the centered matrix via one
+symmetric eigendecomposition of the Gram matrix on its smaller side,
+ranking/permutation machinery, and a residual-spectrum diagnostic for the
+approximate rank-one condition.
 
 All functions here are pure; nothing mutates its arguments.
 """
@@ -14,10 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteInput, ZeroMatrixError
+from .errors import GramOverflow, NonFiniteInput, ZeroMatrixError
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 1000
 
 
 class SignConvention(Enum):
@@ -45,10 +45,12 @@ class SingularTriple:
     """Leading singular value/vectors of a centered matrix.
 
     ``u`` has length n, ``v`` has length p, both unit norm.  ``converged``
-    reports whether ||Xv - lam*u|| <= tol*(lam + 1) was reached within the
-    iteration budget.  ``multiplicity_warning`` is set when the second
-    singular value is within tol*lam of the first, in which case the
-    returned direction is numerically ambiguous.
+    reports whether the singular-pair relation that the eigensolve does not
+    make exact (||Xv - lam*u|| or ||X^T u - lam*v||) is within
+    tol*(lam + 1), with tol = DEFAULT_TOL.  ``iterations`` is 1: the solve
+    is direct.  ``multiplicity_warning`` is set when the second singular
+    value is within tol*lam of the first, in which case the returned
+    direction is numerically ambiguous.
     """
 
     lam: float
@@ -104,49 +106,6 @@ def _unwrap(x, name: str = "centered matrix") -> np.ndarray:
     return _as_matrix(x, name)
 
 
-def _initial_left_vector(values: np.ndarray) -> np.ndarray:
-    # Project the largest-norm row into the left space: u0 = X x0 / ||X x0||
-    # with x0 the normalized largest row.  Row norms and X x0 are both exactly
-    # invariant under column permutation, so downstream results are too.
-    row_norms = np.linalg.norm(values, axis=1)
-    k = int(np.argmax(row_norms))
-    x0 = values[k] / row_norms[k]
-    u0 = values @ x0
-    return u0 / np.linalg.norm(u0)
-
-
-def _power_iterate(gram: np.ndarray, u0: np.ndarray, tol: float, max_iter: int):
-    """Power iteration for the top eigenpair of a PSD matrix.
-
-    Stops when successive Rayleigh quotients differ by < tol*(mu + 1) and
-    the eigen-residual satisfies ||Gu - mu*u|| <= tol*(mu + sqrt(mu)), which
-    translates to ||Xv - lam*u|| <= tol*(lam + 1) in singular-value units.
-    """
-    u = u0
-    mu = 0.0
-    mu_prev = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = gram @ u
-        mu = float(u @ w)
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            # u landed in the nullspace; restart from a basis vector
-            u = np.zeros_like(u)
-            u[(iterations - 1) % u.size] = 1.0
-            mu_prev = np.inf
-            continue
-        resid = float(np.linalg.norm(w - mu * u))
-        u = w / wnorm
-        lam = np.sqrt(mu) if mu > 0.0 else 0.0
-        if abs(mu - mu_prev) < tol * (mu + 1.0) and resid <= tol * (mu + lam):
-            converged = True
-            break
-        mu_prev = mu
-    return mu, u, iterations, converged
-
-
 def _first_nonzero_is_positive(v: np.ndarray) -> bool:
     for value in v:
         if value != 0.0:
@@ -154,81 +113,70 @@ def _first_nonzero_is_positive(v: np.ndarray) -> bool:
     return False
 
 
-def _second_singular_value(
-    gram: np.ndarray, mu1: float, u1: np.ndarray, tol: float, max_iter: int
-) -> float:
-    deflated = gram - mu1 * np.outer(u1, u1)
-    k = int(np.argmax(np.diag(deflated)))
-    u0 = np.zeros(gram.shape[0])
-    u0[k] = 1.0
-    u0 -= (u0 @ u1) * u1
-    norm = np.linalg.norm(u0)
-    if norm == 0.0:
-        return 0.0
-    mu2, _, _, _ = _power_iterate(deflated, u0 / norm, tol, max_iter)
-    return float(np.sqrt(max(mu2, 0.0)))
+def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, a a^T) with a the matrix or its transpose, whichever has no more
+    rows than columns, so that the Gram matrix is min(n, p) square."""
+    a = values if values.shape[0] <= values.shape[1] else values.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        gram = a @ a.T
+    if not np.isfinite(gram).all():
+        raise GramOverflow("matrix entries are too large: the Gram product overflows")
+    return a, gram
 
 
 def leading_singular_triple(
     x,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     convention: SignConvention = SignConvention.ROW_MAJORITY,
-    check_multiplicity: bool = True,
 ) -> SingularTriple:
     """Top singular triple of a (row-centered) matrix.
 
-    Computed by power iteration on the n x n Gram matrix XX^T, which is the
-    cheap side under p >> n.  Raises ZeroMatrixError when the matrix is
-    identically zero.  Non-convergence within ``max_iter`` is reported via
-    the ``converged`` flag, not an exception.
+    Computed by one symmetric eigendecomposition of the Gram matrix on the
+    smaller side: XX^T when n <= p, X^TX when p < n.  The top eigenvector
+    gives u (or v); the other vector is X^T u / lam (or X v / lam) with
+    lam = ||X^T u|| (or ||X v||).  The second eigenvalue gives lam2 for the
+    multiplicity check.  Raises ZeroMatrixError when the matrix is
+    identically zero, and GramOverflow when its Gram product overflows.
     """
     values = _unwrap(x)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if not np.any(values):
         raise ZeroMatrixError("matrix has zero Frobenius norm; no direction defined")
 
-    gram = values @ values.T
-    u0 = _initial_left_vector(values)
-    mu, u, iterations, converged = _power_iterate(gram, u0, tol, max_iter)
-
-    xv = values.T @ u
-    lam = float(np.linalg.norm(xv))
+    a, gram = _short_gram(values)
+    mus, vecs = np.linalg.eigh(gram)
+    s = vecs[:, -1]
+    ats = a.T @ s
+    lam = float(np.linalg.norm(ats))
     if lam == 0.0:
-        raise ZeroMatrixError("iterate collapsed onto the null space")
-    v = xv / lam
-    xw = values @ v
+        raise ZeroMatrixError("leading eigenvector lies in the null space")
+    t = ats / lam
+    at = a @ t
+    # a^T s = lam t holds by construction; a t = lam s is what the solve leaves inexact
+    converged = float(np.linalg.norm(at - lam * s)) <= DEFAULT_TOL * (lam + 1.0)
+    if a is values:
+        u, v, xv = s, t, at
+    else:
+        u, v, xv = t, s, ats
 
     if convention is SignConvention.ROW_MAJORITY:
-        s = float(xw.sum())
-        if s != 0.0:
-            flip = s < 0.0
+        total = float(xv.sum())
+        if total != 0.0:
+            flip = total < 0.0
         else:
             flip = _first_nonzero_is_positive(v)
     else:
         flip = _first_nonzero_is_positive(v)
     if flip:
-        u, v, xw = -u, -v, -xw
-
-    residual = float(np.linalg.norm(xw - lam * u))
-    converged = converged and residual <= tol * (lam + 1.0)
-
-    warning = False
-    if check_multiplicity:
-        lam2 = _second_singular_value(gram, mu, u, tol, max_iter)
-        warning = (lam - lam2) <= tol * lam
+        u, v = -u, -v
+    lam2 = float(np.sqrt(max(mus[-2], 0.0))) if mus.size > 1 else 0.0
 
     return SingularTriple(
         lam=lam,
         u=u,
         v=v,
         convention=convention,
-        iterations=iterations,
+        iterations=1,
         converged=converged,
-        multiplicity_warning=warning,
+        multiplicity_warning=(lam - lam2) <= DEFAULT_TOL * lam,
     )
 
 
@@ -245,18 +193,13 @@ def rank_vector(x) -> Ranking:
     return Ranking(ranks=ranks, inverse_permutation=order.astype(np.int64) + 1)
 
 
-def residual_spectrum(
-    x,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, float]:
+def residual_spectrum(x, k: int) -> tuple[float, float]:
     """Top singular value and the sum of singular values 2..k.
 
-    Computed by iterated deflation of the Gram matrix.  The residual sum
-    feeds the approximate rank-one diagnostic sum_{i>=2} lam_i <= sigma
-    sqrt(log p).  Eigenvalue estimates driven negative by roundoff are
-    clamped to zero.
+    Read off the eigenvalues of the Gram matrix on the smaller side.  The
+    residual sum feeds the approximate rank-one diagnostic
+    sum_{i>=2} lam_i <= sigma sqrt(log p).  Eigenvalues driven negative by
+    roundoff are clamped to zero.
     """
     values = _unwrap(x)
     n, p = values.shape
@@ -265,16 +208,6 @@ def residual_spectrum(
     if not np.any(values):
         raise ZeroMatrixError("matrix has zero Frobenius norm")
 
-    gram = values @ values.T
-    lams = []
-    for i in range(k):
-        if i == 0:
-            u0 = _initial_left_vector(values)
-        else:
-            j = int(np.argmax(np.diag(gram)))
-            u0 = np.zeros(n)
-            u0[j] = 1.0
-        mu, u, _, _ = _power_iterate(gram, u0, tol, max_iter)
-        lams.append(float(np.sqrt(max(mu, 0.0))))
-        gram = gram - mu * np.outer(u, u)
-    return lams[0], float(sum(lams[1:]))
+    mus = np.linalg.eigvalsh(_short_gram(values)[1])[::-1][:k]
+    lams = np.sqrt(np.clip(mus, 0.0, None))
+    return float(lams[0]), float(lams[1:].sum())

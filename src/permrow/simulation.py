@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, PermrowError
+from .errors import InvalidScenario, LengthMismatch, NonFiniteInput, PermrowError
 from .estimators import (
     EstimatorMethod,
     _direct_sorting_from_context,
@@ -34,6 +34,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 TARGETS = ("thetaR", "thetaL", "range")
+_JSON_KEYS = frozenset(
+    ("kind", "n", "p", "alpha", "sigma", "permutation", "seed", "givenPermutation", "a", "eta", "b")
+)
 DEFAULT_ESTIMATORS = ("spectral", "ds", "os")
 
 
@@ -109,17 +112,26 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.n < 2 or self.p < 3:
-            raise ValueError("scenario requires n >= 2 and p >= 3")
+            raise InvalidScenario("scenario requires n >= 2 and p >= 3")
+        if not np.isfinite([self.alpha, self.sigma]).all():
+            raise NonFiniteInput("alpha and sigma must be finite")
         if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise InvalidScenario("alpha must be positive")
         if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise InvalidScenario("sigma must be nonnegative")
         if self.permutation is PermutationKind.GIVEN and self.given_permutation is None:
-            raise ValueError("permutation 'Given' requires given_permutation")
-        if self.kind is ScenarioKind.CUSTOM_LINEAR and (
-            self.a is None or self.eta is None or self.b is None
+            raise InvalidScenario("permutation 'Given' requires given_permutation")
+        if self.given_permutation is not None and sorted(self.given_permutation) != list(
+            range(self.p)
         ):
-            raise ValueError("CustomLinear requires explicit a, eta and b")
+            raise InvalidScenario(f"given_permutation is not a permutation of 0..{self.p - 1}")
+        if self.kind is ScenarioKind.CUSTOM_LINEAR:
+            if self.a is None or self.eta is None or self.b is None:
+                raise InvalidScenario("CustomLinear requires explicit a, eta and b")
+            if (len(self.a), len(self.eta), len(self.b)) != (self.n, self.p, self.n):
+                raise LengthMismatch("CustomLinear a and b need length n, eta length p")
+            if not np.isfinite(np.concatenate([self.a, self.eta, self.b])).all():
+                raise NonFiniteInput("CustomLinear a, eta and b must be finite")
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -140,24 +152,35 @@ class ScenarioSpec:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
-        return cls(
-            kind=ScenarioKind(doc["kind"]),
-            n=int(doc["n"]),
-            p=int(doc["p"]),
-            alpha=float(doc.get("alpha", 1.0)),
-            sigma=float(doc.get("sigma", 1.0)),
-            permutation=PermutationKind(doc.get("permutation", "UniformRandom")),
-            seed=int(doc.get("seed", 0)),
-            given_permutation=(
-                tuple(int(j) for j in doc["givenPermutation"])
-                if "givenPermutation" in doc
-                else None
-            ),
-            a=tuple(float(x) for x in doc["a"]) if "a" in doc else None,
-            eta=tuple(float(x) for x in doc["eta"]) if "eta" in doc else None,
-            b=tuple(float(x) for x in doc["b"]) if "b" in doc else None,
-        )
+    def from_json_dict(cls, doc) -> "ScenarioSpec":
+        if not isinstance(doc, dict):
+            raise InvalidScenario("scenario config must be a JSON object")
+        unknown = sorted(set(doc) - _JSON_KEYS)
+        if unknown:
+            raise InvalidScenario(f"unknown scenario config keys: {', '.join(unknown)}")
+        try:
+            fields = dict(
+                kind=ScenarioKind(doc["kind"]),
+                n=int(doc["n"]),
+                p=int(doc["p"]),
+                alpha=float(doc.get("alpha", 1.0)),
+                sigma=float(doc.get("sigma", 1.0)),
+                permutation=PermutationKind(doc.get("permutation", "UniformRandom")),
+                seed=int(doc.get("seed", 0)),
+                given_permutation=(
+                    tuple(int(j) for j in doc["givenPermutation"])
+                    if "givenPermutation" in doc
+                    else None
+                ),
+                a=tuple(float(x) for x in doc["a"]) if "a" in doc else None,
+                eta=tuple(float(x) for x in doc["eta"]) if "eta" in doc else None,
+                b=tuple(float(x) for x in doc["b"]) if "b" in doc else None,
+            )
+        except KeyError as exc:
+            raise InvalidScenario(f"scenario config lacks the key {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidScenario(f"malformed scenario config: {exc}") from None
+        return cls(**fields)
 
 
 def _truth_from_theta(theta: np.ndarray) -> GroundTruth:

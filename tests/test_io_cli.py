@@ -38,7 +38,7 @@ class TestLoadCoverage:
 
     def test_duplicate_sample_id(self, tmp_path):
         bad = "sample,c1,c2\ns1,1,2\ns1,3,4\n"
-        with pytest.raises(DuplicateSampleId):
+        with pytest.raises(DuplicateSampleId, match="at row 3"):
             load_coverage_csv(write(tmp_path / "c.csv", bad))
 
     def test_ragged_row(self, tmp_path):
@@ -166,6 +166,22 @@ class TestCliSimulate:
             )
             texts.append(out.read_text())
         assert texts[0] != texts[1]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"sigmma": 5}, {"alpha": float("nan")}, {"n": float("inf")}],
+        ids=["unknown-key", "nan-alpha", "infinite-n"],
+    )
+    def test_invalid_config_one_line_exit_2(self, tmp_path, capsys, extra):
+        cfg = write(tmp_path / "cfg.json", json.dumps({**self.CONFIG, **extra}))
+        code = main(
+            ["simulate", "--config", cfg, "--reps", "1", "--seed", "1",
+             "--output", str(tmp_path / "o.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("permrow: error:") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", "{not json")

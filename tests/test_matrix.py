@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permrow import (
+    GramOverflow,
     NonFiniteInput,
     SignConvention,
     ZeroMatrixError,
@@ -71,6 +72,15 @@ class TestLeadingSingularTriple:
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrixError):
             leading_singular_triple(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
+    def test_gram_overflow_raises(self, shape):
+        x = np.zeros(shape)
+        x[0, 0], x[1, 1] = 1e200, -1e200
+        with pytest.raises(GramOverflow):
+            leading_singular_triple(x)
+        with pytest.raises(GramOverflow):
+            residual_spectrum(x, k=2)
 
     def test_against_jacobi_oracle(self):
         rng = np.random.default_rng(21)
@@ -159,11 +169,20 @@ class TestLeadingSingularTriple:
         t = leading_singular_triple(x)
         assert t.multiplicity_warning
 
-    def test_nonconvergence_flag(self):
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
+    def test_against_numpy_svd(self, shape):
+        # wide takes the Gram matrix on the row side, tall on the column side
         rng = np.random.default_rng(28)
-        x = center_rows(rng.normal(size=(12, 40))).values
-        t = leading_singular_triple(x, max_iter=2)
-        assert not t.converged
+        x = center_rows(rng.normal(size=shape)).values
+        t = leading_singular_triple(x)
+        u_svd, s_svd, vt_svd = np.linalg.svd(x, full_matrices=False)
+        assert t.lam == pytest.approx(s_svd[0], rel=1e-12)
+        assert abs(t.u @ u_svd[:, 0]) == pytest.approx(1.0, abs=1e-9)
+        assert abs(t.v @ vt_svd[0]) == pytest.approx(1.0, abs=1e-9)
+        assert (x @ t.v).sum() > 0  # row-majority sign
+        assert t.converged
+        assert t.iterations == 1
+        assert not t.multiplicity_warning
 
 
 class TestRankVector:
@@ -218,6 +237,16 @@ class TestResidualSpectrum:
         lams = np.sqrt(np.clip(evals, 0.0, None))
         assert lam1 == pytest.approx(lams[0], rel=1e-8)
         assert resid == pytest.approx(lams[1:6].sum(), rel=1e-8)
+
+    def test_tall_against_jacobi_oracle(self):
+        # p < n: the eigenvalues come from the p x p Gram matrix X^T X
+        rng = np.random.default_rng(42)
+        x = center_rows(rng.normal(size=(30, 7))).values
+        lam1, resid = residual_spectrum(x, k=5)
+        evals, _ = jacobi_eigh(x.T @ x)
+        lams = np.sqrt(np.clip(evals, 0.0, None))
+        assert lam1 == pytest.approx(lams[0], rel=1e-8)
+        assert resid == pytest.approx(lams[1:5].sum(), rel=1e-8)
 
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrixError):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from permrow import (
+    InvalidScenario,
     LengthMismatch,
+    NonFiniteInput,
     PermutationKind,
     ScenarioKind,
     ScenarioSpec,
@@ -209,3 +211,56 @@ class TestMonteCarlo:
             report = run_monte_carlo(spec, estimators=("spectral",), reps=40, threads=4)
             means.append(report.summary("spectral", "range").mean)
         assert means[1] < means[0]
+
+
+class TestScenarioValidation:
+    BASE = {"kind": "S1", "n": 10, "p": 50}
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InvalidScenario, match="sigmma"):
+            ScenarioSpec.from_json_dict({**self.BASE, "sigmma": 5})
+
+    def test_missing_key_rejected(self):
+        with pytest.raises(InvalidScenario, match="kind"):
+            ScenarioSpec.from_json_dict({"n": 10, "p": 50})
+
+    def test_malformed_value_rejected(self):
+        for bad in ({"n": float("inf")}, {"a": 5}, {"kind": "S9"}):
+            with pytest.raises(InvalidScenario):
+                ScenarioSpec.from_json_dict({**self.BASE, **bad})
+
+    @pytest.mark.parametrize("field", ["alpha", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_alpha_sigma_rejected(self, field, value):
+        with pytest.raises(NonFiniteInput):
+            ScenarioSpec.from_json_dict({**self.BASE, field: value})
+
+    def test_given_permutation_must_be_a_permutation(self):
+        for given in ((0,) * 50, tuple(range(49)), tuple(range(1, 51))):
+            with pytest.raises(InvalidScenario):
+                ScenarioSpec(
+                    kind=ScenarioKind.S1,
+                    n=10,
+                    p=50,
+                    permutation=PermutationKind.GIVEN,
+                    given_permutation=given,
+                )
+        ok = ScenarioSpec(
+            kind=ScenarioKind.S1,
+            n=10,
+            p=50,
+            permutation=PermutationKind.GIVEN,
+            given_permutation=tuple(reversed(range(50))),
+        )
+        assert ok.given_permutation[0] == 49
+
+    def test_custom_linear_lengths_checked(self):
+        with pytest.raises(LengthMismatch):
+            ScenarioSpec(
+                kind=ScenarioKind.CUSTOM_LINEAR,
+                n=3,
+                p=4,
+                a=(1.0, 2.0),
+                eta=(-1.0, 0.0, 0.0, 1.0),
+                b=(0.0, 0.0, 0.0),
+            )
