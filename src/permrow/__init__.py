@@ -24,6 +24,7 @@ from .estimators import (
     EstimatorMethod,
     ExtremeEstimates,
     direct_sorting_extremes,
+    irep_extremes,
     irep_range,
     order_statistic_extremes,
     regression_extremes,

@@ -19,10 +19,8 @@ import numpy as np
 
 from .errors import InputError, NumericalDegeneracyError
 from .estimators import (
-    EstimatorMethod,
-    ExtremeEstimates,
     direct_sorting_extremes,
-    irep_range,
+    irep_extremes,
     order_statistic_extremes,
     regression_extremes,
     spectral_extremes,
@@ -42,27 +40,15 @@ _SIGN = {
 def _cmd_estimate(args) -> int:
     table = load_coverage_csv(args.input)
     convention = _SIGN[args.sign]
-    if args.method == "irep":
-        ranges = irep_range(table.values, trim_fraction=args.trim)
-        est = ExtremeEstimates(
-            theta_r=None,
-            theta_l=None,
-            range=ranges,
-            v_max=None,
-            v_min=None,
-            permutation_hat=None,
-            method=EstimatorMethod.IREP,
-            triple=None,
-        )
-    elif args.method == "os":
-        est = order_statistic_extremes(table.values)
-    else:
-        fn = {
-            "spectral": spectral_extremes,
-            "regression": regression_extremes,
-            "ds": direct_sorting_extremes,
-        }[args.method]
-        est = fn(table.values, convention=convention)
+    # each estimator is looked up in this module when the method runs
+    estimate = {
+        "spectral": lambda y: spectral_extremes(y, convention=convention),
+        "regression": lambda y: regression_extremes(y, convention=convention),
+        "ds": lambda y: direct_sorting_extremes(y, convention=convention),
+        "os": lambda y: order_statistic_extremes(y),
+        "irep": lambda y: irep_extremes(y, trim_fraction=args.trim),
+    }[args.method]
+    est = estimate(table.values)
     if args.exp:
         est = dataclasses.replace(
             est,

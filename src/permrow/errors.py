@@ -64,7 +64,7 @@ class ZeroMatrixError(NumericalDegeneracyError):
 
 
 class GramOverflow(NumericalDegeneracyError):
-    """The matrix entries are too large for its Gram product to stay finite."""
+    """The matrix entries are too large for its singular values to stay finite."""
 
 
 class ZeroSignal(NumericalDegeneracyError):

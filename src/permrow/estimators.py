@@ -206,3 +206,18 @@ def irep_range(y, trim_fraction: float = 0.05) -> np.ndarray:
     window = np.sort(values, axis=1)[:, t : p - t]
     slopes = window @ x / denom
     return slopes * (p - 1)
+
+
+def irep_extremes(y, trim_fraction: float = 0.05) -> ExtremeEstimates:
+    """The iRep proxy as estimates: ``irep_range`` per sample, and no
+    extremes, scores or permutation."""
+    return ExtremeEstimates(
+        theta_r=None,
+        theta_l=None,
+        range=irep_range(y, trim_fraction=trim_fraction),
+        v_max=None,
+        v_min=None,
+        permutation_hat=None,
+        method=EstimatorMethod.IREP,
+        triple=None,
+    )

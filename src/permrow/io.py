@@ -1,7 +1,8 @@
 """CSV ingestion and output.
 
 Dialect is fixed: comma-separated, '.' decimal point, UTF-8, LF line
-endings.  Numeric payloads are written with 12 significant digits.
+endings.  Numeric payloads are written with 12 significant digits, and
+sample ids are quoted where CSV requires it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,23 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+def _parse_row(cells: list[str], row: int) -> np.ndarray:
+    """Convert one row's value cells in a single numpy call.
+
+    numpy parses each string as ``float()`` does; the per-cell scan runs
+    only when that call fails, so that the error names the first bad cell.
+    """
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        return np.array([_parse_cell(c, row, j) for j, c in enumerate(cells, start=2)])
+    nonfinite = ~np.isfinite(values)
+    if nonfinite.any():
+        j = int(nonfinite.argmax())
+        raise ParseError(row, j + 2, f"non-finite value {cells[j]!r}")
+    return values
+
+
 def load_coverage_csv(path) -> CoverageTable:
     """Read a coverage table: header row, first column sample id, the rest
     positions.  Raises ParseError / DuplicateSampleId / DimensionMismatch."""
@@ -49,7 +67,7 @@ def load_coverage_csv(path) -> CoverageTable:
             raise DimensionMismatch("need at least 2 position columns")
         ids: list[str] = []
         seen: set[str] = set()
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         for i, record in enumerate(reader, start=2):
             if len(record) != p + 1:
                 raise DimensionMismatch(
@@ -60,14 +78,23 @@ def load_coverage_csv(path) -> CoverageTable:
                 raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
             seen.add(sample_id)
             ids.append(sample_id)
-            rows.append([_parse_cell(c, i, j) for j, c in enumerate(record[1:], start=2)])
+            rows.append(_parse_row(record[1:], i))
     if len(rows) < 2:
         raise DimensionMismatch("need at least 2 sample rows")
-    return CoverageTable(sample_ids=tuple(ids), values=np.array(rows, dtype=float))
+    return CoverageTable(sample_ids=tuple(ids), values=np.stack(rows))
 
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with quotes doubled, when it holds a
+    comma, a quote or a line break.  csv.writer with a '\\n' line terminator
+    would leave a lone '\\r' unquoted, and csv.reader would split the row there."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_estimates_csv(
@@ -86,7 +113,7 @@ def write_estimates_csv(
             tr = None if estimates.theta_r is None else float(estimates.theta_r[i])
             tl = None if estimates.theta_l is None else float(estimates.theta_l[i])
             fh.write(
-                f"{sid},{_fmt(tr)},{_fmt(tl)},{_fmt(float(estimates.range[i]))},"
+                f"{_csv_field(sid)},{_fmt(tr)},{_fmt(tl)},{_fmt(float(estimates.range[i]))},"
                 f"{estimates.method.value}\n"
             )
 

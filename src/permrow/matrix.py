@@ -18,6 +18,7 @@ import numpy as np
 from .errors import GramOverflow, NonFiniteInput, ZeroMatrixError
 
 DEFAULT_TOL = 1e-10
+_OVERFLOW = "matrix entries are too large: its singular values overflow"
 
 
 class SignConvention(Enum):
@@ -113,15 +114,35 @@ def _first_nonzero_is_positive(v: np.ndarray) -> bool:
     return False
 
 
-def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, a a^T) with a the matrix or its transpose, whichever has no more
-    rows than columns, so that the Gram matrix is min(n, p) square."""
+def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(b, b b^T, e): b is the matrix, or its transpose when it has more rows
+    than columns, divided by 2**e; singular values of the matrix are those
+    of b times 2**e.
+
+    The Gram matrix is min(n, p) square.  e is 0 while max |x| lies in
+    [2**-100, 2**100], where the product is far from overflow and from
+    subnormals.  Outside that band 2**e is the power of two just above
+    max |x|, so that the largest Gram entries are near 1; dividing by a
+    power of two is exact.
+    """
     a = values if values.shape[0] <= values.shape[1] else values.T
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-        gram = a @ a.T
-    if not np.isfinite(gram).all():
-        raise GramOverflow("matrix entries are too large: the Gram product overflows")
-    return a, gram
+    top = max(a.max(), -a.min())
+    if not np.isfinite(top):  # row centering overflowed
+        raise GramOverflow(_OVERFLOW)
+    if 2.0**-100 <= top <= 2.0**100:
+        return a, a @ a.T, 0
+    e = int(np.frexp(top)[1])
+    b = np.ldexp(a, -e)
+    return b, b @ b.T, e
+
+
+def _scale_back(lam: float, e: int) -> float:
+    """lam * 2**e, for a value read off the Gram matrix of ``_short_gram``."""
+    with np.errstate(over="ignore"):  # reported by the check below
+        value = float(np.ldexp(lam, e))
+    if not np.isfinite(value):
+        raise GramOverflow(_OVERFLOW)
+    return value
 
 
 def leading_singular_triple(
@@ -131,31 +152,35 @@ def leading_singular_triple(
     """Top singular triple of a (row-centered) matrix.
 
     Computed by one symmetric eigendecomposition of the Gram matrix on the
-    smaller side: XX^T when n <= p, X^TX when p < n.  The top eigenvector
-    gives u (or v); the other vector is X^T u / lam (or X v / lam) with
-    lam = ||X^T u|| (or ||X v||).  The second eigenvalue gives lam2 for the
-    multiplicity check.  Raises ZeroMatrixError when the matrix is
-    identically zero, and GramOverflow when its Gram product overflows.
+    smaller side: XX^T when n <= p, X^TX when p < n, with X first divided
+    by a power of two near its largest entry when that entry is far from 1.
+    The top eigenvector gives u (or v); the other vector is X^T u / lam
+    (or X v / lam) with lam = ||X^T u|| (or ||X v||).  The second
+    eigenvalue gives lam2 for the multiplicity check.  Raises
+    ZeroMatrixError when the matrix is identically zero, and GramOverflow
+    when the top singular value exceeds the float range.
     """
     values = _unwrap(x)
     if not np.any(values):
         raise ZeroMatrixError("matrix has zero Frobenius norm; no direction defined")
 
-    a, gram = _short_gram(values)
+    b, gram, e = _short_gram(values)
     mus, vecs = np.linalg.eigh(gram)
     s = vecs[:, -1]
-    ats = a.T @ s
-    lam = float(np.linalg.norm(ats))
-    if lam == 0.0:
+    bts = b.T @ s
+    lam_b = float(np.linalg.norm(bts))
+    if lam_b == 0.0:
         raise ZeroMatrixError("leading eigenvector lies in the null space")
-    t = ats / lam
-    at = a @ t
-    # a^T s = lam t holds by construction; a t = lam s is what the solve leaves inexact
-    converged = float(np.linalg.norm(at - lam * s)) <= DEFAULT_TOL * (lam + 1.0)
-    if a is values:
-        u, v, xv = s, t, at
+    lam = _scale_back(lam_b, e)
+    t = bts / lam_b
+    bt = b @ t
+    # b^T s = lam_b t holds by construction; b t = lam_b s is what the solve leaves inexact
+    residual = float(np.ldexp(np.linalg.norm(bt - lam_b * s), e))
+    converged = residual <= DEFAULT_TOL * (lam + 1.0)
+    if values.shape[0] <= values.shape[1]:
+        u, v, xv = s, t, bt
     else:
-        u, v, xv = t, s, ats
+        u, v, xv = t, s, bts
 
     if convention is SignConvention.ROW_MAJORITY:
         total = float(xv.sum())
@@ -167,7 +192,7 @@ def leading_singular_triple(
         flip = _first_nonzero_is_positive(v)
     if flip:
         u, v = -u, -v
-    lam2 = float(np.sqrt(max(mus[-2], 0.0))) if mus.size > 1 else 0.0
+    lam2 = float(np.ldexp(np.sqrt(max(mus[-2], 0.0)), e)) if mus.size > 1 else 0.0
 
     return SingularTriple(
         lam=lam,
@@ -208,6 +233,7 @@ def residual_spectrum(x, k: int) -> tuple[float, float]:
     if not np.any(values):
         raise ZeroMatrixError("matrix has zero Frobenius norm")
 
-    mus = np.linalg.eigvalsh(_short_gram(values)[1])[::-1][:k]
+    _, gram, e = _short_gram(values)
+    mus = np.linalg.eigvalsh(gram)[::-1][:k]
     lams = np.sqrt(np.clip(mus, 0.0, None))
-    return float(lams[0]), float(lams[1:].sum())
+    return _scale_back(lams[0], e), _scale_back(lams[1:].sum(), e)

@@ -94,6 +94,13 @@ class GroundTruth:
     pi: np.ndarray | None = None
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer; ``int()`` would truncate 10.7 to 10."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidScenario(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Configuration of one simulation cell; JSON round-trippable."""
@@ -161,14 +168,14 @@ class ScenarioSpec:
         try:
             fields = dict(
                 kind=ScenarioKind(doc["kind"]),
-                n=int(doc["n"]),
-                p=int(doc["p"]),
+                n=_json_int(doc["n"], "n"),
+                p=_json_int(doc["p"], "p"),
                 alpha=float(doc.get("alpha", 1.0)),
                 sigma=float(doc.get("sigma", 1.0)),
                 permutation=PermutationKind(doc.get("permutation", "UniformRandom")),
-                seed=int(doc.get("seed", 0)),
+                seed=_json_int(doc.get("seed", 0), "seed"),
                 given_permutation=(
-                    tuple(int(j) for j in doc["givenPermutation"])
+                    tuple(_json_int(j, "givenPermutation entry") for j in doc["givenPermutation"])
                     if "givenPermutation" in doc
                     else None
                 ),

@@ -2,15 +2,20 @@
 
 These deliberately avoid the code paths they check: centering via an
 explicit projection-matrix product, eigendecomposition via hand-rolled
-cyclic Jacobi rotations, ranking via lexicographic sorting, and least
-squares via exact rational normal equations.
+cyclic Jacobi rotations, ranking via lexicographic sorting, least squares
+via exact rational normal equations, and coverage CSV parsing via one
+``float()`` call per cell.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from permrow import CoverageTable, DimensionMismatch, DuplicateSampleId, ParseError
 
 
 def centering_oracle(y: np.ndarray) -> np.ndarray:
@@ -74,3 +79,44 @@ def exact_ols_slope(x_values, y_values) -> Fraction:
     sxx = sum(v * v for v in xs)
     sxy = sum(a * b for a, b in zip(xs, ys))
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+def load_coverage_csv_per_cell(path) -> CoverageTable:
+    """The coverage loader with one ``float()`` and ``math.isfinite`` per cell.
+
+    Same checks, order and messages as ``permrow.load_coverage_csv``.
+    """
+
+    def parse_cell(cell: str, row: int, col: int) -> float:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(row, col, f"cannot parse {cell!r} as a number") from None
+        if not math.isfinite(value):
+            raise ParseError(row, col, f"non-finite value {cell!r}")
+        return value
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DimensionMismatch("file is empty; a header row is required") from None
+        p = len(header) - 1
+        if p < 2:
+            raise DimensionMismatch("need at least 2 position columns")
+        ids: list[str] = []
+        rows: list[list[float]] = []
+        for i, record in enumerate(reader, start=2):
+            if len(record) != p + 1:
+                raise DimensionMismatch(
+                    f"row {i} has {len(record)} fields, expected {p + 1}"
+                )
+            sample_id = record[0]
+            if sample_id in ids:
+                raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
+            ids.append(sample_id)
+            rows.append([parse_cell(c, i, j) for j, c in enumerate(record[1:], start=2)])
+    if len(rows) < 2:
+        raise DimensionMismatch("need at least 2 sample rows")
+    return CoverageTable(sample_ids=tuple(ids), values=np.array(rows, dtype=float))

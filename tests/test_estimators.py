@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from permrow import (
+    EstimatorMethod,
     InsufficientColumns,
     ZeroMatrixError,
     direct_sorting_extremes,
+    irep_extremes,
     irep_range,
     order_statistic_extremes,
     regression_extremes,
@@ -157,6 +159,14 @@ class TestIrep:
     def test_trim_fraction_bounds(self):
         with pytest.raises(ValueError):
             irep_range(np.arange(10.0), trim_fraction=0.3)
+
+    def test_extremes_carry_the_range_only(self):
+        y = np.random.default_rng(55).normal(size=(4, 30))
+        est = irep_extremes(y, trim_fraction=0.1)
+        np.testing.assert_array_equal(est.range, irep_range(y, trim_fraction=0.1))
+        assert est.method is EstimatorMethod.IREP
+        assert (est.theta_r, est.theta_l, est.v_max, est.v_min) == (None,) * 4
+        assert est.permutation_hat is None and est.triple is None
 
 
 class TestSharedInvariants:

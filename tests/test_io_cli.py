@@ -1,14 +1,21 @@
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import load_coverage_csv_per_cell
 from permrow import (
     DimensionMismatch,
     DuplicateSampleId,
     ParseError,
     load_coverage_csv,
+    order_statistic_extremes,
     spectral_extremes,
     write_estimates_csv,
 )
@@ -49,6 +56,95 @@ class TestLoadCoverage:
     def test_too_small(self, tmp_path):
         with pytest.raises(DimensionMismatch):
             load_coverage_csv(write(tmp_path / "c.csv", "sample,c1,c2\ns1,1,2\n"))
+
+
+def one_cell(cell):
+    return f"sample,c1,c2\ns1,{cell},2\ns2,3,4\n"
+
+
+PARITY_CORPUS = {
+    "underscore": one_cell("1_000"),
+    "whitespace": one_cell(" 1.5 "),
+    "arabic-indic-digit": one_cell("\u0663"),
+    "quoted-number": one_cell('"2.5"'),
+    "negative-zero": one_cell("-0.0"),
+    "nan": one_cell("nan"),
+    "minus-infinity": one_cell("-Infinity"),
+    "overflow-to-inf": one_cell("1e500"),
+    "hex": one_cell("0x10"),
+    "dangling-exponent": one_cell("1e"),
+    "empty-cell": one_cell(""),
+    "abc-after-inf": "sample,c1,c2,c3\ns1,1,2,3\ns2,inf,abc,1\n",
+    "abc-before-inf": "sample,c1,c2,c3\ns1,1,2,3\ns2,abc,inf,1\n",
+    "bad-cell-then-ragged-row": "sample,c1,c2\ns1,1,2\ns2,1,x\ns3,1\n",
+    "blank-line": "sample,c1,c2\ns1,1,2\n\ns2,3,4\n",
+    "crlf": "sample,c1,c2\r\ns1,1.25,2\r\ns2,3,-4e-3\r\n",
+}
+
+
+def load_outcome(loader, path):
+    """Ids and value bytes of a load, or the exception class and message."""
+    try:
+        table = loader(path)
+    except Exception as exc:  # the outcome under comparison
+        return type(exc), str(exc)
+    return table.sample_ids, table.values.shape, table.values.tobytes()
+
+
+class TestLoaderParity:
+    """The row-at-a-time loader matches the per-cell reference loader."""
+
+    @pytest.mark.parametrize("text", PARITY_CORPUS.values(), ids=PARITY_CORPUS.keys())
+    def test_same_outcome_as_per_cell_loader(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_outcome(load_coverage_csv, path)
+        assert got == load_outcome(load_coverage_csv_per_cell, path)
+
+    def test_error_names_first_bad_cell(self, tmp_path):
+        for text, col, reason in (
+            (PARITY_CORPUS["abc-after-inf"], 2, "non-finite value 'inf'"),
+            (PARITY_CORPUS["abc-before-inf"], 2, "cannot parse 'abc' as a number"),
+        ):
+            with pytest.raises(ParseError) as err:
+                load_coverage_csv(write(tmp_path / "c.csv", text))
+            assert (err.value.row, err.value.col, err.value.reason) == (3, col, reason)
+
+
+AWKWARD_IDS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"\r\n \t\x00\u0663'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(AWKWARD_IDS, min_size=2, max_size=5, unique=True),
+    p=st.integers(min_value=2, max_value=5),
+    data=st.data(),
+)
+def test_write_load_round_trip(ids, p, data):
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=p, max_size=p)
+    values = np.array(data.draw(st.lists(row, min_size=len(ids), max_size=len(ids))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)  # "\r\n" rows, so a lone "\r" is quoted
+            writer.writerow(["sample", *(f"c{j}" for j in range(p))])
+            writer.writerows([sid, *map(repr, row.tolist())] for sid, row in zip(ids, values))
+        table = load_coverage_csv(path)
+        assert table.sample_ids == tuple(ids)
+        assert table.values.tobytes() == values.tobytes()
+
+        out = Path(tmp) / "est.csv"
+        write_estimates_csv(out, order_statistic_extremes(table.values), table.sample_ids)
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(len(row) == 5 for row in rows)
 
 
 class TestWriteEstimates:
@@ -100,6 +196,23 @@ class TestCliEstimate:
         assert code == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[3]) == pytest.approx(math.exp(2.0), rel=1e-9)
+
+    def test_awkward_ids_round_trip(self, tmp_path):
+        ids = ["a,b", 'c"q', "cr\rx", "nl\nx", "plain"]
+        inp = tmp_path / "in.csv"
+        with open(inp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)  # "\r\n" rows, so a lone "\r" is quoted
+            writer.writerow(["sample", "c1", "c2", "c3"])
+            writer.writerows([sid, -k, 0, k] for k, sid in enumerate(ids, start=1))
+        out = tmp_path / "out.csv"
+        assert main(["estimate", "--input", str(inp), "--output", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sampleId", "thetaR", "thetaL", "range", "method"]
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(len(row) == 5 for row in rows)
+        # ids with nothing to quote are written as they were before
+        assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("plain,")
 
     def test_parse_error_exit_code(self, tmp_path):
         inp = write(tmp_path / "in.csv", "sample,c1,c2\ns1,1,NA\ns2,1,2\n")
@@ -169,8 +282,15 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize(
         "extra",
-        [{"sigmma": 5}, {"alpha": float("nan")}, {"n": float("inf")}],
-        ids=["unknown-key", "nan-alpha", "infinite-n"],
+        [
+            {"sigmma": 5},
+            {"alpha": float("nan")},
+            {"n": float("inf")},
+            {"n": 5.7},
+            {"p": "20"},
+            {"seed": True},
+        ],
+        ids=["unknown-key", "nan-alpha", "infinite-n", "fractional-n", "string-p", "bool-seed"],
     )
     def test_invalid_config_one_line_exit_2(self, tmp_path, capsys, extra):
         cfg = write(tmp_path / "cfg.json", json.dumps({**self.CONFIG, **extra}))

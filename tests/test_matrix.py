@@ -75,12 +75,28 @@ class TestLeadingSingularTriple:
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["wide", "tall"])
     def test_gram_overflow_raises(self, shape):
-        x = np.zeros(shape)
-        x[0, 0], x[1, 1] = 1e200, -1e200
+        # sigma_1 = 1e308 * sqrt(6) exceeds the largest double
+        x = np.full(shape, 1e308)
         with pytest.raises(GramOverflow):
             leading_singular_triple(x)
         with pytest.raises(GramOverflow):
             residual_spectrum(x, k=2)
+
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 6)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("scale", [2.0**500, 2.0**-500, 1e200, 1e-160, 1e-163])
+    def test_extreme_scale_equivariance(self, shape, scale):
+        # entries far from 1 would overflow the Gram product or leave it subnormal
+        x = center_rows(np.random.default_rng(27).normal(size=shape)).values
+        t1 = leading_singular_triple(x)
+        t2 = leading_singular_triple(scale * x)
+        assert t2.lam == pytest.approx(scale * t1.lam, rel=1e-12)
+        np.testing.assert_allclose(t2.u, t1.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t2.v, t1.v, rtol=0, atol=1e-12)
+        assert t2.converged
+        lam1, resid = residual_spectrum(x, k=4)
+        lam1_s, resid_s = residual_spectrum(scale * x, k=4)
+        assert lam1_s == pytest.approx(scale * lam1, rel=1e-12)
+        assert resid_s == pytest.approx(scale * resid, rel=1e-12)
 
     def test_against_jacobi_oracle(self):
         rng = np.random.default_rng(21)

@@ -229,6 +229,24 @@ class TestScenarioValidation:
             with pytest.raises(InvalidScenario):
                 ScenarioSpec.from_json_dict({**self.BASE, **bad})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n": 10.7},
+            {"n": 10.0},
+            {"n": True},
+            {"p": "50"},
+            {"seed": 1.5},
+            {"permutation": "Given", "givenPermutation": [*range(49), 49.0]},
+            {"permutation": "Given", "givenPermutation": "0123"},
+        ],
+        ids=["fractional", "integral-float", "bool", "string", "seed", "perm-entry", "perm-string"],
+    )
+    def test_non_integer_rejected(self, bad):
+        # int() would truncate 10.7 to 10 and run the wrong scenario
+        with pytest.raises(InvalidScenario, match="must be an integer"):
+            ScenarioSpec.from_json_dict({**self.BASE, **bad})
+
     @pytest.mark.parametrize("field", ["alpha", "sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_alpha_sigma_rejected(self, field, value):
