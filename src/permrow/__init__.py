@@ -12,6 +12,7 @@ from .errors import (
     InsufficientColumns,
     InvalidScenario,
     LengthMismatch,
+    NonFiniteEstimate,
     NonFiniteInput,
     NumericalDegeneracyError,
     ParseError,

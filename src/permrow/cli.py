@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, NumericalDegeneracyError
+from .errors import InputError, NonFiniteEstimate, NumericalDegeneracyError
 from .estimators import (
     direct_sorting_extremes,
     irep_extremes,
@@ -48,13 +48,22 @@ def _cmd_estimate(args) -> int:
         "os": lambda y: order_statistic_extremes(y),
         "irep": lambda y: irep_extremes(y, trim_fraction=args.trim),
     }[args.method]
-    est = estimate(table.values)
-    if args.exp:
-        est = dataclasses.replace(
-            est,
-            theta_r=None if est.theta_r is None else np.exp(est.theta_r),
-            theta_l=None if est.theta_l is None else np.exp(est.theta_l),
-            range=np.exp(est.range),
+    # An overflow shows as a non-finite value below or as a package error,
+    # so numpy's warnings would only add lines to stderr.
+    with np.errstate(all="ignore"):
+        est = estimate(table.values)
+        if args.exp:
+            est = dataclasses.replace(
+                est,
+                theta_r=None if est.theta_r is None else np.exp(est.theta_r),
+                theta_l=None if est.theta_l is None else np.exp(est.theta_l),
+                range=np.exp(est.range),
+            )
+    values = [v for v in (est.theta_r, est.theta_l, est.range) if v is not None]
+    if not np.isfinite(np.concatenate(values)).all():
+        raise NonFiniteEstimate(
+            "an estimate overflowed to a non-finite value"
+            + (" on the --exp scale" if args.exp else "")
         )
     write_estimates_csv(args.output, est, table.sample_ids)
     return 0

@@ -67,6 +67,10 @@ class GramOverflow(NumericalDegeneracyError):
     """The matrix entries are too large for its singular values to stay finite."""
 
 
+class NonFiniteEstimate(NumericalDegeneracyError):
+    """An estimate of finite input overflowed to an infinite or NaN value."""
+
+
 class ZeroSignal(NumericalDegeneracyError):
     """Slope or position vector has zero norm; signal indices are undefined."""
 

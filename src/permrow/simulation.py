@@ -2,16 +2,27 @@
 
 Reproducibility contract: every replicate r of a run derives its own seed as
 ``trial_seed(master_seed, r)`` (a splitmix64 mix, pinned below) and draws all
-randomness from a counter-based Philox stream keyed by that seed.  Reports
-are therefore pure functions of (spec, estimators, reps) and independent of
-thread count.  Within a replicate the draw order is fixed: slopes, then
-intercepts, then the permutation (if random), then the noise matrix.
+randomness from a counter-based Philox stream keyed by that seed.  Within a
+replicate the draw order is fixed: slopes, then intercepts, then the
+permutation (if random), then the noise matrix.
+
+While ``run_monte_carlo`` runs its replicates it holds the OpenBLAS that
+numpy links at one thread, and restores the previous count when it returns or
+raises; parallelism comes only from its ``threads`` pool.  Each replicate's
+Gram product and eigensolve then round the same way whatever the BLAS thread
+count, so reports are pure functions of (spec, estimators, reps), independent
+of both ``threads`` and the BLAS thread setting.  Where numpy links another
+BLAS (or numpy 1.x, whose symbols are not looked up), the pin does nothing and
+reports may vary in their last digits with that BLAS's thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -359,6 +370,56 @@ def _generate_replicate(spec: ScenarioSpec, rng: np.random.Generator):
     return y, truth
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's OpenBLAS thread count, or None where not found.
+
+    dlsym on numpy's own extension module also searches the libraries it
+    links, which is where the wheel's OpenBLAS lives.
+    """
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+# OpenBLAS's thread count is process-wide, so the bookkeeping of who holds it
+# at one thread is too.
+_blas_lock = threading.Lock()
+_blas_depth = 0  # run_monte_carlo calls inside _one_blas_thread
+_blas_saved = 0  # thread count to restore when the last of them leaves
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread; overlapping uses from several threads nest."""
+    global _blas_depth, _blas_saved
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
 def _replicate_risks(
     spec: ScenarioSpec,
     r: int,
@@ -413,12 +474,15 @@ def run_monte_carlo(
     """Run ``reps`` independent replicates of a scenario and summarize risks.
 
     The report depends only on (spec, estimators, reps); ``threads`` changes
-    wall-clock time, never the result.  A replicate that raises a package
+    wall-clock time, never the result (see the module docstring for the BLAS
+    thread pin that makes this hold).  A replicate that raises a package
     error (e.g. a zero centered matrix under alpha -> 0) is recorded as
     failed and excluded from the summaries.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     estimators = tuple(estimators)
     known = {e.value for e in EstimatorMethod}
     unknown = [e for e in estimators if e not in known]
@@ -431,11 +495,13 @@ def run_monte_carlo(
         except PermrowError:
             return r, None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(job, range(reps)))
-    else:
-        results = dict(map(job, range(reps)))
+    workers = min(threads, reps)
+    with _one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = dict(pool.map(job, range(reps)))
+        else:
+            results = dict(map(job, range(reps)))
 
     failed = tuple(r for r in range(reps) if results[r] is None)
     pairs = [

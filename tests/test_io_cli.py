@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +233,73 @@ class TestCliEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            # centring overflows the row sums
+            ("sample,c1,c2,c3\ns1,1e308,-1e308,1e308\ns2,-1e308,1e308,1e308\n"
+             "s3,1e308,1e308,-1e308\n", ()),
+            # the rowwise range max - min overflows
+            ("sample,c1,c2,c3\ns1,1.7e308,0,-1.7e308\ns2,1,2,3\n", ("--method", "os")),
+            # exp of a range above 709 overflows
+            ("sample,c1,c2,c3\ns1,-400,0,400\ns2,1,2,3\n", ("--exp",)),
+        ],
+        ids=["center-overflow", "os-range-overflow", "exp-overflow"],
+    )
+    def test_non_finite_estimate_exit_3_one_line(self, tmp_path, run_cli, text, extra):
+        inp = write(tmp_path / "in.csv", text)
+        out = tmp_path / "o.csv"
+        proc = run_cli("estimate", "--input", inp, "--output", out, *extra)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("permrow: numerical degeneracy:")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+
+NUMBERS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1.7e308", "-1.7e308", "800", "-800", "0"]),
+)
+BAD_CELLS = st.sampled_from(["abc", "NA", "", "nan", "inf", "1e500"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    p=st.integers(2, 5),
+    defect=st.sampled_from([None, None, "cell", "ragged"]),
+    method=st.sampled_from(["spectral", "regression", "ds", "os", "irep"]),
+    exp=st.booleans(),
+    data=st.data(),
+)
+def test_estimate_fuzz_exit_code_and_one_line(n, p, defect, method, exp, data):
+    """Any small CSV ends in exit 0, 2 or 3 with at most one stderr line.
+
+    Rows of finite and huge numbers get at most one defect: a non-numeric
+    cell or a short row.  Warnings are errors here, so a numpy
+    RuntimeWarning that would reach stderr escapes ``main`` and fails the
+    test like any other traceback.
+    """
+    rows = [data.draw(st.lists(NUMBERS, min_size=p, max_size=p)) for _ in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    if defect == "cell":
+        rows[i][data.draw(st.integers(0, p - 1))] = data.draw(BAD_CELLS)
+    elif defect == "ragged":
+        rows[i].pop()
+    lines = ["sample," + ",".join(f"c{j}" for j in range(p))]
+    lines += [f"s{k}," + ",".join(row) for k, row in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = write(Path(tmp) / "in.csv", "\n".join(lines) + "\n")
+        argv = ["estimate", "--input", inp, "--output", str(Path(tmp) / "o.csv"),
+                "--method", method, *(["--exp"] if exp else [])]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+
 
 class TestCliSimulate:
     CONFIG = {
@@ -301,6 +371,18 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("permrow: error:") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_one_line_exit_2(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path / "cfg.json", json.dumps(self.CONFIG))
+        code = main(
+            ["simulate", "--config", cfg, "--reps", "2", "--seed", "1",
+             "--output", str(tmp_path / "o.csv"), "--threads", threads]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "permrow: error: threads must be at least 1\n"
         assert not (tmp_path / "o.csv").exists()
 
     def test_bad_config_exit_code(self, tmp_path):

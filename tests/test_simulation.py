@@ -1,3 +1,8 @@
+import collections
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,10 @@ from permrow import (
     synthesize_observation,
     trial_seed,
 )
+from permrow import simulation
+
+BLAS = simulation._openblas_thread_calls()
+needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
 
 
 class TestSeeding:
@@ -282,3 +291,132 @@ class TestScenarioValidation:
                 eta=(-1.0, 0.0, 0.0, 1.0),
                 b=(0.0, 0.0, 0.0),
             )
+
+
+@needs_openblas
+class TestBlasThreadPin:
+    """run_monte_carlo holds OpenBLAS at one thread and restores its count."""
+
+    SPEC = ScenarioSpec(kind=ScenarioKind.S1, n=6, p=30, alpha=3.0, sigma=1.0, seed=11)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """OpenBLAS set to 2 threads, a count the pin must restore; yields its getter."""
+        get, set_ = BLAS
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def spy_os(self, monkeypatch, hook):
+        """Call ``hook()`` in each replicate, just before its order statistics."""
+        real = simulation.order_statistic_extremes
+
+        def spied(y):
+            hook()
+            return real(y)
+
+        monkeypatch.setattr(simulation, "order_statistic_extremes", spied)
+
+    def test_pinned_inside_and_restored_after_return(self, blas_threads, monkeypatch):
+        seen = []
+        self.spy_os(monkeypatch, lambda: seen.append(blas_threads()))
+        run_monte_carlo(self.SPEC, reps=4, threads=2)
+        assert seen == [1] * 4
+        assert blas_threads() == 2
+
+    def test_restored_after_raise(self, blas_threads, monkeypatch):
+        def boom():
+            raise RuntimeError("boom")
+
+        self.spy_os(monkeypatch, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_monte_carlo(self.SPEC, reps=2, threads=2)
+        assert blas_threads() == 2
+
+    def test_overlapping_calls_from_two_threads(self, blas_threads, monkeypatch):
+        """A short call enters, a long one enters, and the short one leaves
+        first: the long one stays pinned, and the count comes back after it."""
+        serial = {reps: run_monte_carlo(self.SPEC, reps=reps).to_json() for reps in (1, 3)}
+        short_inside = threading.Event()
+        both_inside = threading.Barrier(2, timeout=30)
+        short_done = threading.Event()
+        calls = collections.Counter()
+        seen = []
+
+        def hook():
+            name = threading.current_thread().name
+            calls[name] += 1
+            if calls[name] == 1:
+                if name == "short":
+                    short_inside.set()
+                both_inside.wait()
+            else:
+                assert short_done.wait(30)
+            seen.append(blas_threads())
+
+        self.spy_os(monkeypatch, hook)
+        reports = {}
+
+        def run(reps):
+            reports[reps] = run_monte_carlo(self.SPEC, reps=reps).to_json()
+
+        short = threading.Thread(target=run, args=(1,), name="short")
+        long_ = threading.Thread(target=run, args=(3,), name="long")
+        short.start()
+        assert short_inside.wait(30)
+        long_.start()
+        short.join(30)
+        short_done.set()
+        long_.join(30)
+        assert not short.is_alive() and not long_.is_alive()
+        assert reports == serial
+        assert seen == [1] * 4
+        assert blas_threads() == 2
+
+    def test_many_overlapping_calls(self, blas_threads, monkeypatch):
+        """More callers than cores, switching often: every replicate runs
+        pinned and the count comes back, which a lost depth update breaks."""
+        serial = run_monte_carlo(self.SPEC, reps=4).to_json()
+        seen = []
+        self.spy_os(monkeypatch, lambda: seen.append(blas_threads()))
+        reports = []
+
+        def run():
+            for _ in range(3):
+                reports.append(run_monte_carlo(self.SPEC, reps=4, threads=2).to_json())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert reports == [serial] * 12
+        assert seen == [1] * 48
+        assert blas_threads() == 2
+
+
+@needs_openblas
+def test_simulate_bytes_independent_of_blas_threads(tmp_path, run_cli):
+    """At n=150 the Gram product and eigh round differently on 1 and 2 BLAS
+    threads; the pin makes the CSV the same."""
+    cfg = tmp_path / "s1.json"
+    cfg.write_text(
+        json.dumps({"kind": "S1", "n": 150, "p": 1000, "alpha": 3.0, "sigma": 1.0,
+                    "permutation": "UniformRandom"}),
+        encoding="utf-8",
+    )
+    payloads = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}.csv"
+        proc = run_cli("simulate", "--config", cfg, "--reps", 10, "--seed", 7,
+                       "--output", out, env={"OPENBLAS_NUM_THREADS": blas})
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
