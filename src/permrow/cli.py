@@ -79,6 +79,17 @@ def _cmd_simulate(args) -> int:
         reps=args.reps,
         threads=args.threads,
     )
+    if report.failures:
+        _, name, message = report.failures[0]
+        if len(report.failures) == report.reps:
+            raise NumericalDegeneracyError(
+                f"all {report.reps} replicates failed, the first with {name}: {message}"
+            )
+        print(
+            f"permrow: warning: {len(report.failures)} of {report.reps} replicates "
+            f"failed, the first with {name}; the risk CSV leaves them out",
+            file=sys.stderr,
+        )
     report.write_csv(args.output)
     return 0
 

@@ -80,4 +80,4 @@ class DegenerateRegressor(NumericalDegeneracyError):
 
 
 class DegenerateVariance(NumericalDegeneracyError):
-    """Within-group variance is zero; the test statistic is undefined."""
+    """Within-group variance is zero, or too small for a finite statistic."""

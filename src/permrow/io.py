@@ -1,20 +1,31 @@
 """CSV ingestion and output.
 
-Dialect is fixed: comma-separated, '.' decimal point, UTF-8, LF line
-endings.  Numeric payloads are written with 12 significant digits, and
-sample ids are quoted where CSV requires it.
+Dialect is fixed: comma-separated, '.' decimal point, UTF-8, records ending
+in LF, CRLF or CR.  Numeric payloads are written with 12 significant digits,
+and sample ids are quoted where CSV requires it.
+
+A coverage table is read in two stages.  A plain numeric file is parsed in
+one ``np.loadtxt`` call over the value parts of its rows.  Every other file,
+and every file with an error, goes to the exact loader, which converts one
+record at a time so that an error names the first bad cell.  Both give the
+same ids and value bytes: loadtxt parses a number with
+``PyOS_string_to_double``, as ``float()`` does, and the first stage declines
+the inputs on which the two differ.  Only a quoted record goes through
+``csv.reader``, so only a quoted field is held to its limit of 131072
+characters.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateSampleId, ParseError
+from .errors import DimensionMismatch, DuplicateSampleId, InputError, ParseError
 from .estimators import ExtremeEstimates
 
 
@@ -53,35 +64,97 @@ def _parse_row(cells: list[str], row: int) -> np.ndarray:
     return values
 
 
-def load_coverage_csv(path) -> CoverageTable:
-    """Read a coverage table: header row, first column sample id, the rest
-    positions.  Raises ParseError / DuplicateSampleId / DimensionMismatch."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row, fields) of each CSV record in ``lines``, rows numbered from 1.
+
+    ``lines`` come from a file opened with ``newline=""``.  A line without a
+    quote is split at its commas, as ``csv.reader`` would split it; a quoted
+    record goes through ``csv.reader``, which may continue it over the lines
+    that follow.
+    """
+    lines = iter(lines)
+    for row, line in enumerate(lines, start=1):
+        if '"' not in line:
+            line = line.rstrip("\r\n")
+            yield row, line.split(",") if line else []
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DimensionMismatch("file is empty; a header row is required") from None
-        p = len(header) - 1
-        if p < 2:
-            raise DimensionMismatch("need at least 2 position columns")
-        ids: list[str] = []
-        seen: set[str] = set()
-        rows: list[np.ndarray] = []
-        for i, record in enumerate(reader, start=2):
-            if len(record) != p + 1:
-                raise DimensionMismatch(
-                    f"row {i} has {len(record)} fields, expected {p + 1}"
-                )
-            sample_id = record[0]
-            if sample_id in seen:
-                raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
-            seen.add(sample_id)
-            ids.append(sample_id)
-            rows.append(_parse_row(record[1:], i))
+            record = next(csv.reader(itertools.chain([line], lines)))
+        except csv.Error as exc:
+            raise InputError(f"row {row}: {exc}") from None
+        yield row, record
+
+
+# float() rejects the ASCII separators U+001C..U+001F next to a number, and
+# loadtxt strips them as whitespace.
+_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _load_plain_numeric(lines: list[str]) -> CoverageTable | None:
+    """The table parsed in one ``np.loadtxt`` call, or None for the exact loader.
+
+    A table needs no quote and no U+001C..U+001F, at least 2 positions and 2
+    rows, a comma and a non-blank value part on every row, distinct sample
+    ids, and p finite values on every row.  Any other input gives None, never
+    an error.  loadtxt rejects the underscores and non-ASCII digits that
+    ``float()`` accepts, so those files go to the exact loader too.
+    """
+    if len(lines) < 3 or any(mark in line for line in lines for mark in _NOT_PLAIN):
+        return None
+    p = lines[0].count(",")
+    ids = []
+    for line in lines[1:]:
+        sample_id, comma, rest = line.partition(",")
+        if not comma or not rest or rest.isspace():
+            return None
+        ids.append(sample_id)
+    if p < 2 or len(set(ids)) < len(ids):
+        return None
+    # one value part at a time, so that they are never all held at once
+    rests = (line[len(sample_id) + 1 :] for sample_id, line in zip(ids, lines[1:]))
+    try:
+        values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(ids), p) or not np.isfinite(values).all():
+        return None
+    return CoverageTable(sample_ids=tuple(ids), values=values)
+
+
+def _load_exact(lines: list[str]) -> CoverageTable:
+    records = _records(lines)
+    try:
+        _, header = next(records)
+    except StopIteration:
+        raise DimensionMismatch("file is empty; a header row is required") from None
+    p = len(header) - 1
+    if p < 2:
+        raise DimensionMismatch("need at least 2 position columns")
+    ids: list[str] = []
+    seen: set[str] = set()
+    rows: list[np.ndarray] = []
+    for i, record in records:
+        if len(record) != p + 1:
+            raise DimensionMismatch(f"row {i} has {len(record)} fields, expected {p + 1}")
+        sample_id = record[0]
+        if sample_id in seen:
+            raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
+        seen.add(sample_id)
+        ids.append(sample_id)
+        rows.append(_parse_row(record[1:], i))
     if len(rows) < 2:
         raise DimensionMismatch("need at least 2 sample rows")
     return CoverageTable(sample_ids=tuple(ids), values=np.stack(rows))
+
+
+def load_coverage_csv(path) -> CoverageTable:
+    """Read a coverage table: header row, first column sample id, the rest
+    positions.  Raises ParseError / DuplicateSampleId / DimensionMismatch,
+    or InputError for a record that cannot be tokenized."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    table = _load_plain_numeric(lines)
+    return _load_exact(lines) if table is None else table
 
 
 def _fmt(value: float | None) -> str:
@@ -121,15 +194,15 @@ def write_estimates_csv(
 def load_grouped_csv(path) -> list[tuple[str, np.ndarray]]:
     """Read (sampleId, group, value) rows; returns groups in first-seen order."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        records = _records(fh)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise DimensionMismatch("file is empty; a header row is required") from None
         if len(header) != 3:
             raise DimensionMismatch("expected exactly 3 columns: sampleId,group,value")
         groups: dict[str, list[float]] = {}
-        for i, record in enumerate(reader, start=2):
+        for i, record in records:
             if len(record) != 3:
                 raise DimensionMismatch(f"row {i} has {len(record)} fields, expected 3")
             groups.setdefault(record[1], []).append(_parse_cell(record[2], i, 3))

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidScenario, LengthMismatch, NonFiniteInput, PermrowError
+from .errors import InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFiniteInput, PermrowError
 from .estimators import (
     EstimatorMethod,
     _direct_sorting_from_context,
@@ -298,11 +298,16 @@ class RiskReport:
     reps: int
     estimators: tuple[str, ...]
     summaries: tuple[RiskSummary, ...] = field(repr=False)
-    failed_replicates: tuple[int, ...] = ()
+    # (replicate, exception class name, message) of each failed replicate
+    failures: tuple[tuple[int, str, str], ...] = ()
 
     @property
     def master_seed(self) -> int:
         return self.spec.seed
+
+    @property
+    def failed_replicates(self) -> tuple[int, ...]:
+        return tuple(r for r, _, _ in self.failures)
 
     def summary(self, estimator: str, target: str) -> RiskSummary:
         for s in self.summaries:
@@ -459,6 +464,8 @@ def _replicate_risks(
     if "irep" in estimators:
         rng_hat = irep_range(y, trim_fraction=trim_fraction)
         out[("irep", "range")] = empirical_risk(rng_hat, truth.range, align, -rng_hat)
+    if not np.isfinite(list(out.values())).all():
+        raise NonFiniteEstimate("a risk overflowed to a non-finite value")
     return out
 
 
@@ -476,8 +483,9 @@ def run_monte_carlo(
     The report depends only on (spec, estimators, reps); ``threads`` changes
     wall-clock time, never the result (see the module docstring for the BLAS
     thread pin that makes this hold).  A replicate that raises a package
-    error (e.g. a zero centered matrix under alpha -> 0) is recorded as
-    failed and excluded from the summaries.
+    error (e.g. a zero centered matrix under alpha -> 0), or whose risk
+    overflows, is recorded in ``failures`` with its exception class and
+    message, and excluded from the summaries.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -490,10 +498,13 @@ def run_monte_carlo(
         raise ValueError(f"unknown estimators: {unknown}")
 
     def job(r: int):
+        # numpy's error state is per thread, so each job sets its own; an
+        # overflow shows as a package error or as a non-finite risk
         try:
-            return r, _replicate_risks(spec, r, estimators, align, convention, trim_fraction)
-        except PermrowError:
-            return r, None
+            with np.errstate(all="ignore"):
+                return r, _replicate_risks(spec, r, estimators, align, convention, trim_fraction)
+        except PermrowError as exc:
+            return r, exc
 
     workers = min(threads, reps)
     with _one_blas_thread():
@@ -503,7 +514,11 @@ def run_monte_carlo(
         else:
             results = dict(map(job, range(reps)))
 
-    failed = tuple(r for r in range(reps) if results[r] is None)
+    failures = tuple(
+        (r, type(exc).__name__, str(exc))
+        for r, exc in results.items()
+        if isinstance(exc, PermrowError)
+    )
     pairs = [
         (e, t)
         for e in estimators
@@ -514,7 +529,7 @@ def run_monte_carlo(
     for estimator, target in pairs:
         risks = np.full(reps, np.nan)
         for r in range(reps):
-            if results[r] is not None:
+            if not isinstance(results[r], PermrowError):
                 risks[r] = results[r][(estimator, target)]
         ok = risks[~np.isnan(risks)]
         if ok.size:
@@ -540,5 +555,5 @@ def run_monte_carlo(
         reps=reps,
         estimators=estimators,
         summaries=tuple(summaries),
-        failed_replicates=failed,
+        failures=failures,
     )

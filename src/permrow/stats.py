@@ -116,13 +116,22 @@ def t_two_sided_p(t: float, df: float) -> float:
 
 
 def _clean_groups(groups: Sequence) -> list[np.ndarray]:
+    """The groups as float arrays, all divided by 2**e with max |x| in
+    [2**(e-1), 2**e).
+
+    F, t and the Welch df do not change under a common scale, and dividing by
+    a power of two is exact; the sums of squares of values below 1 in size
+    cannot overflow.
+    """
     cleaned = []
     for g in groups:
         arr = np.asarray(g, dtype=float).ravel()
         if not np.isfinite(arr).all():
             raise ValueError("group values must be finite")
         cleaned.append(arr)
-    return cleaned
+    top = max((float(np.abs(g).max()) for g in cleaned if g.size), default=0.0)
+    e = int(np.frexp(top)[1])
+    return [np.ldexp(g, -e) for g in cleaned]
 
 
 def f_test_oneway(groups: Sequence) -> FTestResult:
@@ -139,9 +148,12 @@ def f_test_oneway(groups: Sequence) -> FTestResult:
     ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in gs)
     df1 = k - 1
     df2 = total_n - k
-    if ssw == 0.0:
+    msw = ssw / df2
+    if msw == 0.0:
         raise DegenerateVariance("within-group variance is zero")
-    f = (ssb / df1) / (ssw / df2)
+    f = (ssb / df1) / msw
+    if math.isinf(f):
+        raise DegenerateVariance("within-group variance is too small for a finite F")
     return FTestResult(statistic=f, df1=df1, df2=df2, p_value=f_sf(f, df1, df2))
 
 
@@ -158,16 +170,18 @@ def t_test_two_sample(
     vy = float(((gy - my) ** 2).sum()) / (ny - 1)
     if variant is TTestVariant.POOLED:
         pooled = ((nx - 1) * vx + (ny - 1) * vy) / (nx + ny - 2)
-        if pooled == 0.0:
-            raise DegenerateVariance("pooled variance is zero")
         se = math.sqrt(pooled * (1.0 / nx + 1.0 / ny))
+        if se == 0.0:
+            raise DegenerateVariance("pooled variance is zero")
         df = float(nx + ny - 2)
     else:
-        if vx == 0.0 and vy == 0.0:
+        a, b = vx / nx, vy / ny
+        se = math.sqrt(a + b)
+        if se == 0.0:
             raise DegenerateVariance("both sample variances are zero")
-        se = math.sqrt(vx / nx + vy / ny)
-        df = (vx / nx + vy / ny) ** 2 / (
-            (vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1)
-        )
-    t = (mx - my) / se
+        den = a**2 / (nx - 1) + b**2 / (ny - 1)
+        if den == 0.0:  # a and b are below about 1e-154
+            raise DegenerateVariance("sample variances are too small for a finite Welch df")
+        df = (a + b) ** 2 / den
+    t = (mx - my) / se  # finite: |mx - my| <= 2 and se >= 2**-537
     return TTestResult(statistic=t, df=df, p_value=t_two_sided_p(t, df))

@@ -84,7 +84,9 @@ def exact_ols_slope(x_values, y_values) -> Fraction:
 def load_coverage_csv_per_cell(path) -> CoverageTable:
     """The coverage loader with one ``float()`` and ``math.isfinite`` per cell.
 
-    Same checks, order and messages as ``permrow.load_coverage_csv``.
+    Same checks, order and messages as ``permrow.load_coverage_csv``, except
+    that ``csv.reader`` reads every record here: every field is held to its
+    length limit, and its ``csv.Error`` is raised as it is.
     """
 
     def parse_cell(cell: str, row: int, col: int) -> float:

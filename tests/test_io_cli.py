@@ -3,15 +3,17 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import permrow.io as permrow_io
 from oracles import load_coverage_csv_per_cell
 from permrow import (
     DimensionMismatch,
@@ -23,6 +25,7 @@ from permrow import (
     write_estimates_csv,
 )
 from permrow.cli import main
+from permrow.io import load_grouped_csv
 
 
 def write(path, text):
@@ -112,6 +115,152 @@ class TestLoaderParity:
             with pytest.raises(ParseError) as err:
                 load_coverage_csv(write(tmp_path / "c.csv", text))
             assert (err.value.row, err.value.col, err.value.reason) == (3, col, reason)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.25e}".format),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(-1e3, 1e3).map(" {!r}\x0c".format),
+)
+# csv.reader rejects NUL before Python 3.11
+NUL = "\x00" if sys.version_info >= (3, 11) else ""
+# Characters on which csv.reader, float() and loadtxt disagree, or that change
+# a record's shape.
+FUZZ_CHARS = '0123456789.-e"_# ,\r\n\x0c\x1c٣' + NUL
+# Padding around a number: float() strips the first two and the non-ASCII
+# ones, and rejects the separators U+001C..U+001F, which loadtxt strips.
+# Both reject NUL.
+PADS = " \x0c\x1c\x1d\x1e\x1f\x85\u2003" + NUL
+ODD_CELLS = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e500", "1_000", "٣", '"1"', '"a,b"',
+                     '"1\n2"', "#1", ""]),
+    st.text(alphabet=FUZZ_CHARS, max_size=4),
+    st.tuples(st.sampled_from(PADS), NUMBER_CELLS, st.sampled_from(["", *PADS])).map("".join),
+)
+ODD_IDS = st.sampled_from(["s0", "s1", "", '"s0"', '"s,0"', "s\x1c", "s٣", f"s{NUL}"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    p=st.integers(1, 4),
+    defects=st.lists(
+        st.sampled_from(["cell", "cell", "id", "ragged", "trailing-comma", "blank-line"]),
+        max_size=2,
+    ),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    data=st.data(),
+)
+def test_loader_parity_fuzz(n, p, defects, ending, data):
+    """Same ids and value bytes as the per-cell loader, or the same error, and
+    no warning, on numeric tables with up to two defects, whichever of the
+    two stages reads the file."""
+    rows = [[f"s{k}", *data.draw(st.lists(NUMBER_CELLS, min_size=p, max_size=p))]
+            for k in range(n)]
+    for defect in defects if rows else ():
+        row = rows[data.draw(st.integers(0, n - 1))]
+        if defect == "cell":
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(ODD_CELLS)
+        elif defect == "id":
+            row[0] = data.draw(ODD_IDS)
+        elif defect == "ragged":
+            row.pop()
+        elif defect == "trailing-comma":
+            row.append("")
+    lines = [",".join(["sample", *(f"c{j}" for j in range(p))]), *map(",".join, rows)]
+    if "blank-line" in defects:
+        lines.insert(data.draw(st.integers(1, len(lines))), "")
+    text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_outcome(load_coverage_csv, path)
+        event("table" if isinstance(got[0], tuple) else got[0].__name__)
+        assert got == load_outcome(load_coverage_csv_per_cell, path)
+
+
+# (rows below the header "sample,c1,c2", whether the loadtxt stage reads them)
+FAST_PATH_CASES = {
+    "plain": (["s1,1,2", "s2,3,-4e-3"], True),
+    "crlf-and-padding": (["s1, 1 ,2\r", "s2,3,\x0c4\r"], True),
+    "quoted-id": (['"s1",1,2', "s2,3,4"], False),
+    "info-separator": (["s1,1\x1c,2", "s2,3,4"], False),
+    "blank-line": (["s1,1,2", "", "s2,3,4"], False),
+    "blank-value-part": (["s1,1,2", "s2, "], False),
+    "all-value-parts-blank": (["s1,", "s2,"], False),
+    "one-row": (["s1,1,2"], False),
+    "repeated-id": (["s1,1,2", "s1,3,4"], False),
+    "underscore": (["s1,1_000,2", "s2,3,4"], False),
+    "arabic-indic-digit": (["s1,٣,2", "s2,3,4"], False),
+    "unparseable": (["s1,abc,2", "s2,3,4"], False),
+    "ragged": (["s1,1,2", "s2,3"], False),
+    "short-rows": (["s1,1", "s2,3"], False),
+    "non-finite": (["s1,1,2", "s2,3,1e500"], False),
+}
+
+
+@pytest.mark.parametrize("rows, fast", FAST_PATH_CASES.values(), ids=FAST_PATH_CASES.keys())
+def test_fast_path_taken_or_declined(tmp_path, monkeypatch, rows, fast):
+    """The loadtxt stage reads exactly the plain numeric tables; on the rest
+    the exact loader gives the per-cell loader's outcome.  Warnings are errors:
+    loadtxt would warn "input contained no data" on all-blank value parts."""
+    exact = permrow_io._load_exact
+    calls = []
+
+    def spy(lines):
+        calls.append(len(lines))
+        return exact(lines)
+
+    monkeypatch.setattr(permrow_io, "_load_exact", spy)
+    path = tmp_path / "c.csv"
+    path.write_bytes(("sample,c1,c2\n" + "".join(f"{row}\n" for row in rows)).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_outcome(load_coverage_csv, path)
+    assert calls == ([] if fast else [len(rows) + 1])
+    assert got == load_outcome(load_coverage_csv_per_cell, path)
+
+
+LONG_NUMBER = "1." + "0" * 139998  # 140000 characters, above csv's field limit
+
+
+@pytest.mark.parametrize("other_id", ["s2", '"s2"'], ids=["loadtxt-stage", "exact-loader"])
+def test_long_unquoted_cell_parses(tmp_path, other_id):
+    """csv.reader rejects a field over 131072 characters; an unquoted record
+    never goes through it.  A quoted id elsewhere sends the file to the exact
+    loader."""
+    text = f"sample,c1,c2\ns1,{LONG_NUMBER},2\n{other_id},3,4\n"
+    table = load_coverage_csv(write(tmp_path / "c.csv", text))
+    assert table.sample_ids == ("s1", "s2")
+    np.testing.assert_array_equal(table.values, [[1.0, 2.0], [3.0, 4.0]])
+    groups = load_grouped_csv(
+        write(tmp_path / "g.csv", f"sampleId,group,value\na,A,{LONG_NUMBER}\nb,B,2\n")
+    )
+    assert [(label, values.tolist()) for label, values in groups] == [("A", [1.0]), ("B", [2.0])]
+
+
+LONG_QUOTED = '"' + "1" * 200000 + '"'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["estimate"], f"sample,c1,c2\ns1,1,2\ns2,{LONG_QUOTED},4\n"),
+        (["compare"], f"sampleId,group,value\na,A,1\nb,B,{LONG_QUOTED}\n"),
+    ],
+    ids=["estimate", "compare"],
+)
+def test_csv_error_one_line_exit_2(tmp_path, capsys, argv, text):
+    """A quoted field over csv's length limit names its row."""
+    argv = [*argv, "--input", write(tmp_path / "in.csv", text)]
+    if argv[0] == "estimate":
+        argv += ["--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "permrow: error: row 3: field larger than field limit (131072)\n"
+    )
 
 
 AWKWARD_IDS = st.text(
@@ -385,6 +534,39 @@ class TestCliSimulate:
         assert err == "permrow: error: threads must be at least 1\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all_replicates_fail_exit_3_one_line(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path / "cfg.json", json.dumps({**self.CONFIG, "sigma": 1e308}))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", cfg, "--reps", "3", "--seed", "1",
+                         "--output", str(out), "--threads", threads])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "permrow: numerical degeneracy: all 3 replicates failed, the first with "
+            "NonFiniteInput: observation matrix contains NaN or infinite entries\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_some_replicates_fail_one_stderr_line(self, tmp_path, capsys, threads):
+        # a_i is 0 or 5e-324, so most replicates have a zero centred matrix
+        config = {"kind": "S1", "n": 2, "p": 5, "alpha": 5e-324, "sigma": 0.0}
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", cfg, "--reps", "8", "--seed", "1",
+                         "--output", str(out), "--threads", threads])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "permrow: warning: 7 of 8 replicates failed, the first with ZeroMatrixError; "
+            "the risk CSV leaves them out\n"
+        )
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 9 and {row.split(",")[2] for row in rows} == {"2"}
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", "{not json")
         code = main(
@@ -449,3 +631,37 @@ class TestCliCompare:
             "sampleId,group,value\na1,A,1\na2,A,1\nb1,B,2\nb2,B,2\n",
         )
         assert main(["compare", "--input", inp, "--test", "f"]) == 3
+
+    @pytest.mark.parametrize(
+        "values, argv, expected",
+        [
+            ((1e308, -1e308, 1e308, -1e308), ["--test", "f"], {"F": 0.0, "pValue": 1.0}),
+            ((1e308, -1e308, 1e308, -1e308), ["--test", "t"],
+             {"t": 0.0, "df": 2.0, "pValue": 1.0}),
+            ((1e200, -1e200, 3e200, -1e200), ["--test", "f"], {"F": 0.2}),
+            ((1e200, -1e200, 3e200, -1e200), ["--test", "t"],
+             {"t": -1 / math.sqrt(5), "df": 25 / 17}),
+        ],
+        ids=["1e308-f", "1e308-t", "1e200-f", "1e200-t"],
+    )
+    def test_huge_values_give_finite_json(self, tmp_path, capsys, values, argv, expected):
+        rows = "".join(f"{g}{i},{g},{v!r}\n" for i, (g, v) in enumerate(zip("AABB", values)))
+        inp = write(tmp_path / "g.csv", "sampleId,group,value\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--input", inp, *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out, parse_constant=pytest.fail)
+        got = doc if argv[1] == "f" else doc["comparisons"][0]
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("test", ["f", "t"])
+    def test_non_finite_statistic_exit_3_one_line(self, tmp_path, capsys, test):
+        # group A spreads over 1e-160, far below the between-group gap of 1
+        inp = write(tmp_path / "g.csv", "sampleId,group,value\na1,A,0\na2,A,1e-160\n"
+                    "b1,B,1\nb2,B,1\n")
+        assert main(["compare", "--input", inp, "--test", test]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("permrow: numerical degeneracy:") and err.count("\n") == 1

@@ -139,3 +139,15 @@ class TestCrossIdentities:
             x = rng.normal(size=5)
             y = rng.normal(size=5)
             assert 0.0 <= t_test_two_sample(x, y).p_value <= 1.0
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_power_of_two_scale_changes_no_bit(self, k):
+        rng = np.random.default_rng(78)
+        groups = [rng.normal(size=6), rng.normal(loc=1, size=7), rng.normal(size=5)]
+        scaled = [np.ldexp(g, k) for g in groups]
+        assert f_test_oneway(scaled) == f_test_oneway(groups)
+        for variant in TTestVariant:
+            assert t_test_two_sample(*scaled[:2], variant) == t_test_two_sample(
+                *groups[:2], variant
+            )
+
