@@ -1,21 +1,23 @@
 """Dense-matrix primitives.
 
-Row centering, the leading singular triple of the centered matrix via one
-symmetric eigendecomposition of the Gram matrix on its smaller side,
-ranking/permutation machinery, and a residual-spectrum diagnostic for the
-approximate rank-one condition.
+Row centering, the leading singular triple of the centered matrix from the
+top two eigenpairs of the Gram matrix on its smaller side (LAPACK dsyevr of
+the OpenBLAS that numpy links, or ``np.linalg.eigh`` where that is not
+found), ranking/permutation machinery, and a residual-spectrum diagnostic
+for the approximate rank-one condition.
 
-All functions here are pure; nothing mutates its arguments.
+The public functions here are pure; none mutates its arguments.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import GramOverflow, NonFiniteInput, ZeroMatrixError
+from .errors import GramOverflow, NonFiniteInput, NumericalDegeneracyError, ZeroMatrixError
 
 DEFAULT_TOL = 1e-10
 _OVERFLOW = "matrix entries are too large: its singular values overflow"
@@ -114,26 +116,102 @@ def _first_nonzero_is_positive(v: np.ndarray) -> bool:
     return False
 
 
+def _pow2_exponent(top: float) -> int:
+    """0 while ``top`` lies in [2**-100, 2**100] (or is 0, inf or NaN), else
+    e with 2**(e-1) <= top < 2**e: dividing by 2**e then brings values up
+    to ``top`` near 1, exactly, so that sums of their squares neither
+    overflow nor go subnormal."""
+    return 0 if 2.0**-100 <= top <= 2.0**100 else int(np.frexp(top)[1])
+
+
 def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(b, b b^T, e): b is the matrix, or its transpose when it has more rows
     than columns, divided by 2**e; singular values of the matrix are those
     of b times 2**e.
 
-    The Gram matrix is min(n, p) square.  e is 0 while max |x| lies in
-    [2**-100, 2**100], where the product is far from overflow and from
-    subnormals.  Outside that band 2**e is the power of two just above
-    max |x|, so that the largest Gram entries are near 1; dividing by a
-    power of two is exact.
+    The Gram matrix is a new min(n, p) square array.  e is
+    ``_pow2_exponent(max |x|)``: 0 where the product is far from overflow
+    and from subnormals, else such that the largest Gram entries are near 1.
     """
     a = values if values.shape[0] <= values.shape[1] else values.T
     top = max(a.max(), -a.min())
     if not np.isfinite(top):  # row centering overflowed
         raise GramOverflow(_OVERFLOW)
-    if 2.0**-100 <= top <= 2.0**100:
+    e = _pow2_exponent(top)
+    if e == 0:
         return a, a @ a.T, 0
-    e = int(np.frexp(top)[1])
     b = np.ldexp(a, -e)
     return b, b @ b.T, e
+
+
+@functools.cache
+def _openblas_function(name: str, restype, *argtypes):
+    """numpy's OpenBLAS function ``name`` as a ctypes function with this
+    signature, or None where it is not found (another BLAS, numpy 1.x).
+
+    dlsym on numpy's own extension module also searches the libraries it
+    links, which is where the wheel's OpenBLAS lives.
+    """
+    import ctypes
+
+    try:
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
+    except (AttributeError, OSError):
+        return None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+@functools.cache
+def _dsyevr():
+    """LAPACK dsyevr of numpy's OpenBLAS (ILP64: 64-bit integers, and the
+    lengths of the three string arguments last), or None where not found."""
+    import ctypes
+
+    char, i64 = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64)
+    f64 = ctypes.POINTER(ctypes.c_double)
+    return _openblas_function(
+        "scipy_dsyevr_64_", None,
+        char, char, char, i64, ctypes.c_void_p, i64, f64, f64, i64, i64, f64, i64,  # JOBZ .. M
+        f64, f64, i64, i64, f64, i64, i64, i64, i64,  # W .. INFO
+        ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t,
+    )
+
+
+def _top_eigenpair(gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """(s, mu2): the eigenvector of the largest eigenvalue of the symmetric
+    ``gram`` and its second-largest eigenvalue.  Overwrites ``gram``.
+
+    One dsyevr call asks for eigenpairs n-1 and n alone; it releases the
+    GIL, so pool threads solve at the same time.  A failed call raises
+    NumericalDegeneracyError.  Where dsyevr is not found, ``np.linalg.eigh``
+    solves for all n eigenpairs.
+    """
+    import ctypes
+
+    dsyevr = _dsyevr()
+    n = gram.shape[0]
+    if dsyevr is None or n < 2:  # n = 1 only for a hand-made one-row CenteredMatrix
+        mus, vecs = np.linalg.eigh(gram)
+        return vecs[:, -1], float(mus[-2]) if n > 1 else 0.0
+    gram = np.require(gram, np.float64, ["C", "W"])  # no copy for a Gram product
+    size, il, m, info = (ctypes.c_int64(k) for k in (n, n - 1, 0, 0))
+    lwork, liwork = ctypes.c_int64(26 * n), ctypes.c_int64(10 * n)  # the documented minima
+    zero = ctypes.c_double(0.0)  # VL and VU (unused), and ABSTOL (the default)
+    w, z = (ctypes.c_double * n)(), (ctypes.c_double * (2 * n))()  # z: column-major n x 2
+    work, iwork = (ctypes.c_double * lwork.value)(), (ctypes.c_int64 * liwork.value)()
+    isuppz = (ctypes.c_int64 * 4)()
+    ref = ctypes.byref
+    dsyevr(
+        b"V", b"I", b"L", ref(size), gram.ctypes.data, ref(size), ref(zero), ref(zero),
+        ref(il), ref(size), ref(zero), ref(m), w, z, ref(size), isuppz,
+        work, ref(lwork), iwork, ref(liwork), ref(info), 1, 1, 1,
+    )
+    if info.value != 0 or m.value != 2:
+        raise NumericalDegeneracyError(
+            f"eigensolve failed: LAPACK dsyevr gave info={info.value} and {m.value} of 2 eigenpairs"
+        )
+    return np.frombuffer(z, offset=8 * n), w[0]
 
 
 def _scale_back(lam: float, e: int) -> float:
@@ -151,22 +229,22 @@ def leading_singular_triple(
 ) -> SingularTriple:
     """Top singular triple of a (row-centered) matrix.
 
-    Computed by one symmetric eigendecomposition of the Gram matrix on the
-    smaller side: XX^T when n <= p, X^TX when p < n, with X first divided
-    by a power of two near its largest entry when that entry is far from 1.
+    Computed from the top two eigenpairs of the Gram matrix on the smaller
+    side: XX^T when n <= p, X^TX when p < n, with X first divided by a
+    power of two near its largest entry when that entry is far from 1.
     The top eigenvector gives u (or v); the other vector is X^T u / lam
     (or X v / lam) with lam = ||X^T u|| (or ||X v||).  The second
     eigenvalue gives lam2 for the multiplicity check.  Raises
-    ZeroMatrixError when the matrix is identically zero, and GramOverflow
-    when the top singular value exceeds the float range.
+    ZeroMatrixError when the matrix is identically zero, GramOverflow when
+    the top singular value exceeds the float range, and
+    NumericalDegeneracyError when the eigensolve fails.
     """
     values = _unwrap(x)
     if not np.any(values):
         raise ZeroMatrixError("matrix has zero Frobenius norm; no direction defined")
 
     b, gram, e = _short_gram(values)
-    mus, vecs = np.linalg.eigh(gram)
-    s = vecs[:, -1]
+    s, mu2 = _top_eigenpair(gram)
     bts = b.T @ s
     lam_b = float(np.linalg.norm(bts))
     if lam_b == 0.0:
@@ -192,7 +270,7 @@ def leading_singular_triple(
         flip = _first_nonzero_is_positive(v)
     if flip:
         u, v = -u, -v
-    lam2 = float(np.ldexp(np.sqrt(max(mus[-2], 0.0)), e)) if mus.size > 1 else 0.0
+    lam2 = float(np.ldexp(np.sqrt(max(mu2, 0.0)), e))
 
     return SingularTriple(
         lam=lam,

@@ -4,7 +4,12 @@ Reproducibility contract: every replicate r of a run derives its own seed as
 ``trial_seed(master_seed, r)`` (a splitmix64 mix, pinned below) and draws all
 randomness from a counter-based Philox stream keyed by that seed.  Within a
 replicate the draw order is fixed: slopes, then intercepts, then the
-permutation (if random), then the noise matrix.
+permutation (if random), then the noise matrix.  A replicate builds Y
+directly in observed column order, and its truth only at the two end
+columns; Y and the truth are byte for byte those of ``generate_s1`` or
+``generate_s2`` (or the CustomLinear signal) composed with
+``synthesize_observation`` on the same stream, since every entry comes from
+the same float operations.
 
 While ``run_monte_carlo`` runs its replicates it holds the OpenBLAS that
 numpy links at one thread, and restores the previous count when it returns or
@@ -23,7 +28,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -39,7 +44,7 @@ from .estimators import (
     irep_range,
     order_statistic_extremes,
 )
-from .matrix import SignConvention
+from .matrix import SignConvention, _openblas_function, _pow2_exponent
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,15 +95,26 @@ class LinearGrowthSignal:
     b: np.ndarray
 
     def theta(self) -> np.ndarray:
-        return self.a[:, None] * self.eta[None, :] + self.b[:, None]
+        return _growth_signal(self.a, self.eta, self.b, log=False)
+
+
+def _growth_signal(a: np.ndarray, eta: np.ndarray, b: np.ndarray, log: bool) -> np.ndarray:
+    """theta_ij = a_i * eta_j + b_i, or log(1 + a_i * eta_j + b_i) with
+    ``log``, in one new n x len(eta) array."""
+    theta = a[:, None] * eta[None, :]
+    theta += b[:, None]
+    if log:
+        np.log1p(theta, out=theta)
+    return theta
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Unpermuted signal matrix with its extreme columns, range, and the
-    permutation that was applied to produce the observation."""
+    permutation that was applied to produce the observation.  A Monte Carlo
+    replicate builds only the extremes and the range; its ``theta`` is None."""
 
-    theta: np.ndarray
+    theta: np.ndarray | None
     theta_r: np.ndarray
     theta_l: np.ndarray
     range: np.ndarray
@@ -211,17 +227,29 @@ def _truth_from_theta(theta: np.ndarray) -> GroundTruth:
     )
 
 
+def _draw_signal(
+    kind: ScenarioKind, n: int, p: int, alpha: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, eta, b) of S1 or S2: slopes a_i ~ U(0, alpha) and then intercepts
+    b_i ~ U(0, 6) from ``rng``; eta = (-1, 0, ..., 0, 1) for S1, 1..p for S2."""
+    if p < 3:
+        raise ValueError(f"{kind.value} requires p >= 3")
+    a = rng.uniform(0.0, alpha, n)
+    b = rng.uniform(0.0, 6.0, n)
+    if kind is ScenarioKind.S1:
+        eta = np.zeros(p)
+        eta[0] = -1.0
+        eta[-1] = 1.0
+    else:
+        eta = np.arange(1, p + 1, dtype=float)
+    return a, eta, b
+
+
 def generate_s1(
     n: int, p: int, alpha: float, rng: np.random.Generator
 ) -> tuple[LinearGrowthSignal, GroundTruth]:
     """S1 regime: a_i ~ U(0, alpha), b_i ~ U(0, 6), eta = (-1, 0, ..., 0, 1)."""
-    if p < 3:
-        raise ValueError("S1 requires p >= 3")
-    a = rng.uniform(0.0, alpha, n)
-    b = rng.uniform(0.0, 6.0, n)
-    eta = np.zeros(p)
-    eta[0] = -1.0
-    eta[-1] = 1.0
+    a, eta, b = _draw_signal(ScenarioKind.S1, n, p, alpha, rng)
     signal = LinearGrowthSignal(a=a, eta=eta, b=b)
     return signal, _truth_from_theta(signal.theta())
 
@@ -230,13 +258,18 @@ def generate_s2(
     n: int, p: int, alpha: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, GroundTruth]:
     """S2 regime: theta_ij = log(1 + a_i * j + b_i), j = 1..p; not rank-one."""
-    if p < 3:
-        raise ValueError("S2 requires p >= 3")
-    a = rng.uniform(0.0, alpha, n)
-    b = rng.uniform(0.0, 6.0, n)
-    j = np.arange(1, p + 1, dtype=float)
-    theta = np.log1p(a[:, None] * j[None, :] + b[:, None])
+    a, j, b = _draw_signal(ScenarioKind.S2, n, p, alpha, rng)
+    theta = _growth_signal(a, j, b, log=True)
     return theta, _truth_from_theta(theta)
+
+
+def _add_noise(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """y += sigma * N(0, 1) noise, in place; nothing is drawn when sigma == 0."""
+    if sigma > 0:
+        z = rng.standard_normal(y.shape)
+        z *= sigma
+        y += z
+    return y
 
 
 def synthesize_observation(
@@ -253,12 +286,18 @@ def synthesize_observation(
     if pi is None:
         y = theta.copy()
     else:
-        pi = np.asarray(pi, dtype=np.int64)
-        inverse = np.argsort(pi)
-        y = theta[:, inverse]
-    if sigma > 0:
-        y = y + sigma * rng.standard_normal(theta.shape)
-    return y
+        y = theta[:, np.argsort(np.asarray(pi, dtype=np.int64))]
+    return _add_noise(y, sigma, rng)
+
+
+def _rms(d: np.ndarray) -> float:
+    """||d||_2 / sqrt(len(d)), on d divided by 2**e (exact) where max |d| is
+    far enough from 1 that the sum of squares would overflow or go
+    subnormal; see ``matrix._pow2_exponent``."""
+    e = _pow2_exponent(float(np.abs(d).max(initial=0.0)))
+    if e == 0:
+        return float(np.linalg.norm(d) / np.sqrt(d.size))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)) / np.sqrt(d.size), e))
 
 
 def empirical_risk(estimate, truth, align: bool = False, counterpart=None) -> float:
@@ -271,12 +310,12 @@ def empirical_risk(estimate, truth, align: bool = False, counterpart=None) -> fl
     t = np.asarray(truth, dtype=float).ravel()
     if e.size != t.size:
         raise LengthMismatch(f"length {e.size} vs {t.size}")
-    risk = float(np.linalg.norm(e - t) / np.sqrt(t.size))
+    risk = _rms(e - t)
     if align and counterpart is not None:
         c = np.asarray(counterpart, dtype=float).ravel()
         if c.size != t.size:
             raise LengthMismatch(f"length {c.size} vs {t.size}")
-        risk = min(risk, float(np.linalg.norm(c - t) / np.sqrt(t.size)))
+        risk = min(risk, _rms(c - t))
     return risk
 
 
@@ -351,18 +390,16 @@ class RiskReport:
                     fh.write(f"{s.estimator},{s.target},{r},{risk:.17g}\n")
 
 
-def _generate_replicate(spec: ScenarioSpec, rng: np.random.Generator):
-    if spec.kind is ScenarioKind.S1:
-        _, truth = generate_s1(spec.n, spec.p, spec.alpha, rng)
-    elif spec.kind is ScenarioKind.S2:
-        _, truth = generate_s2(spec.n, spec.p, spec.alpha, rng)
+def _generate_replicate(
+    spec: ScenarioSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, GroundTruth]:
+    """(Y, truth) of one replicate, with Y built directly in observed column
+    order: eta is permuted once, not the n x p signal."""
+    if spec.kind is ScenarioKind.CUSTOM_LINEAR:
+        a, eta, b = (np.asarray(x, dtype=float) for x in (spec.a, spec.eta, spec.b))
     else:
-        signal = LinearGrowthSignal(
-            a=np.asarray(spec.a, dtype=float),
-            eta=np.asarray(spec.eta, dtype=float),
-            b=np.asarray(spec.b, dtype=float),
-        )
-        truth = _truth_from_theta(signal.theta())
+        a, eta, b = _draw_signal(spec.kind, spec.n, spec.p, spec.alpha, rng)
+    log = spec.kind is ScenarioKind.S2
 
     if spec.permutation is PermutationKind.IDENTITY:
         pi = None
@@ -370,29 +407,23 @@ def _generate_replicate(spec: ScenarioSpec, rng: np.random.Generator):
         pi = rng.permutation(spec.p)
     else:
         pi = np.asarray(spec.given_permutation, dtype=np.int64)
-    truth = replace(truth, pi=pi)
-    y = synthesize_observation(truth.theta, spec.sigma, pi, rng)
+    eta_observed = eta if pi is None else eta[np.argsort(pi)]
+    y = _add_noise(_growth_signal(a, eta_observed, b, log), spec.sigma, rng)
+    theta_l, theta_r = _growth_signal(a, eta[[0, -1]], b, log).T.copy()
+    truth = GroundTruth(
+        theta=None, theta_r=theta_r, theta_l=theta_l, range=theta_r - theta_l, pi=pi
+    )
     return y, truth
 
 
 @functools.cache
 def _openblas_thread_calls():
-    """(get, set) of numpy's OpenBLAS thread count, or None where not found.
-
-    dlsym on numpy's own extension module also searches the libraries it
-    links, which is where the wheel's OpenBLAS lives.
-    """
+    """(get, set) of numpy's OpenBLAS thread count, or None where not found."""
     import ctypes
 
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
+    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return None if get is None or set_ is None else (get, set_)
 
 
 # OpenBLAS's thread count is process-wide, so the bookkeeping of who holds it
@@ -533,9 +564,12 @@ def run_monte_carlo(
                 risks[r] = results[r][(estimator, target)]
         ok = risks[~np.isnan(risks)]
         if ok.size:
-            q1, med, q3 = np.percentile(ok, [25.0, 50.0, 75.0])
-            mean = float(ok.mean())
-            std = float(ok.std(ddof=1)) if ok.size > 1 else 0.0
+            # on risks divided by 2**e (exact), so that the sums cannot overflow
+            e = _pow2_exponent(float(ok.max()))
+            scaled = np.ldexp(ok, -e)
+            q1, med, q3 = np.ldexp(np.percentile(scaled, [25.0, 50.0, 75.0]), e)
+            mean = float(np.ldexp(scaled.mean(), e))
+            std = float(np.ldexp(scaled.std(ddof=1), e)) if ok.size > 1 else 0.0
         else:
             q1 = med = q3 = mean = std = float("nan")
         summaries.append(

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permrow import (
+    CenteredMatrix,
     GramOverflow,
     NonFiniteInput,
+    NumericalDegeneracyError,
     SignConvention,
     ZeroMatrixError,
     center_rows,
     leading_singular_triple,
     rank_vector,
     residual_spectrum,
+    spectral_extremes,
 )
+from permrow import matrix
 from oracles import centering_oracle, jacobi_eigh, rank_oracle
 
 RANK_ONE = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0]])
@@ -199,6 +205,134 @@ class TestLeadingSingularTriple:
         assert t.converged
         assert t.iterations == 1
         assert not t.multiplicity_warning
+
+
+def _without_lapack(monkeypatch):
+    """Make the dsyevr lookup find nothing, so the eigensolve falls back to eigh."""
+    monkeypatch.setattr(matrix, "_dsyevr", lambda: None)
+
+
+TIED = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])  # singular values sqrt(2), sqrt(2)
+
+
+class TestEigensolverParity:
+    """The dsyevr top-two solve against the np.linalg.eigh fallback."""
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 40), (40, 12), (150, 1000)], ids=["wide", "tall", "grid"]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500], ids=["1", "2^500", "2^-500"])
+    def test_same_triple(self, shape, scale, monkeypatch):
+        rng = np.random.default_rng(31)
+        signal = np.outer(rng.uniform(0.0, 3.0, shape[0]), np.linspace(-1.0, 1.0, shape[1]))
+        x = scale * center_rows(signal + rng.normal(size=shape)).values
+        _, gram, _ = matrix._short_gram(x)
+        s, mu2 = matrix._top_eigenpair(gram.copy())
+        t = leading_singular_triple(x)
+        _without_lapack(monkeypatch)
+        s_ref, mu2_ref = matrix._top_eigenpair(gram.copy())
+        ref = leading_singular_triple(x)
+        assert mu2 == pytest.approx(mu2_ref, rel=1e-12)
+        assert abs(s @ s_ref) == pytest.approx(1.0, abs=1e-12)
+        assert t.lam == pytest.approx(ref.lam, rel=1e-12)
+        assert t.u @ ref.u == pytest.approx(1.0, abs=1e-12)  # same sign, too
+        assert t.v @ ref.v == pytest.approx(1.0, abs=1e-12)
+        assert (t.converged, t.multiplicity_warning) == (ref.converged, ref.multiplicity_warning)
+        assert t.converged and not t.multiplicity_warning
+
+    @pytest.mark.parametrize("x", [TIED, TIED.T], ids=["wide", "tall"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500], ids=["1", "2^500", "2^-500"])
+    def test_tied_spectrum(self, x, scale, monkeypatch):
+        # any unit vector of the tied pair is a top eigenvector, so only the
+        # values and the warning can be compared
+        x = scale * x
+        _, gram, _ = matrix._short_gram(x)
+        _, mu2 = matrix._top_eigenpair(gram.copy())
+        t = leading_singular_triple(x)
+        _without_lapack(monkeypatch)
+        _, mu2_ref = matrix._top_eigenpair(gram.copy())
+        ref = leading_singular_triple(x)
+        assert mu2 == pytest.approx(mu2_ref, rel=1e-12)
+        assert t.lam == pytest.approx(ref.lam, rel=1e-12)
+        assert t.lam == pytest.approx(scale * np.sqrt(2.0), rel=1e-12)
+        assert t.multiplicity_warning and ref.multiplicity_warning
+        assert t.converged and ref.converged
+
+    def test_one_row(self):
+        # a hand-made one-row CenteredMatrix has a 1 x 1 Gram matrix and no second eigenvalue
+        one_row = CenteredMatrix(values=np.array([[1.0, 2.0, 2.0]]), row_means=np.zeros(1))
+        t = leading_singular_triple(one_row)
+        assert t.lam == pytest.approx(3.0, rel=1e-15)
+        np.testing.assert_allclose(t.v, [1 / 3, 2 / 3, 2 / 3], rtol=1e-15)
+        assert t.converged and not t.multiplicity_warning
+
+    def test_lapack_found_where_numpy_links_scipy_openblas(self):
+        """Guards against a suite that runs only the eigh fallback."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in str(
+            blas.get("openblas configuration")
+        ):
+            pytest.skip("numpy does not link the ILP64 scipy-openblas")
+        assert matrix._dsyevr() is not None
+
+    def test_failed_solve_raises(self, monkeypatch):
+        # an info != 0 from LAPACK is an error, never a silent fallback
+        def failing(*args):
+            args[20]._obj.value = 3  # INFO
+
+        monkeypatch.setattr(matrix, "_dsyevr", lambda: failing)
+        with pytest.raises(NumericalDegeneracyError, match="info=3"):
+            leading_singular_triple(RANK_ONE)
+
+
+def _gapped_matrix(n: int, p: int, seed: int, noise: float, exponent: int) -> np.ndarray:
+    """Rank-one growth signal plus noise, times 2**exponent; its top singular
+    value is kept apart from the second so that the direction is defined."""
+    rng = np.random.default_rng(seed)
+    y = np.outer(rng.uniform(0.5, 3.0, n), rng.normal(size=p)) + rng.uniform(0.0, 6.0, n)[:, None]
+    y = np.ldexp(y + noise * rng.normal(size=(n, p)), exponent)
+    s = np.linalg.svd(center_rows(y).values, compute_uv=False)
+    assume(s[1] <= 0.9 * s[0])
+    return y
+
+
+SHAPES = dict(
+    n=st.integers(2, 40),
+    p=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    exponent=st.sampled_from([0, 500, -500]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(**SHAPES)
+def test_transpose_consistency(n, p, seed, noise, exponent):
+    """The triple of X^T is (v, u) of the triple of X with the same lam; the
+    two take the Gram matrix on opposite sides of the same data."""
+    x = center_rows(_gapped_matrix(n, p, seed, noise, exponent)).values
+    t = leading_singular_triple(x)
+    tt = leading_singular_triple(x.T)
+    assert tt.lam == pytest.approx(t.lam, rel=1e-12)
+    sign = 1.0 if tt.u @ t.v > 0 else -1.0  # each sign convention flips (u, v) jointly
+    np.testing.assert_allclose(sign * tt.u, t.v, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sign * tt.v, t.u, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(**SHAPES, perm_seed=st.integers(0, 2**32 - 1))
+def test_column_permutation_invariance(n, p, seed, noise, exponent, perm_seed):
+    """Permuting the columns permutes v and leaves theta_R, theta_L and the
+    range of the spectral estimator where they were."""
+    y = _gapped_matrix(n, p, seed, noise, exponent)
+    perm = np.random.default_rng(perm_seed).permutation(p)
+    base = spectral_extremes(y)
+    other = spectral_extremes(y[:, perm])
+    atol = 1e-9 * np.abs(y).max()
+    np.testing.assert_allclose(other.triple.v, base.triple.v[perm], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(other.theta_r, base.theta_r, rtol=0, atol=atol)
+    np.testing.assert_allclose(other.theta_l, base.theta_l, rtol=0, atol=atol)
+    np.testing.assert_allclose(other.range, base.range, rtol=0, atol=atol)
 
 
 class TestRankVector:

@@ -2,6 +2,7 @@ import collections
 import json
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from permrow import (
     InvalidScenario,
     LengthMismatch,
+    LinearGrowthSignal,
     NonFiniteInput,
     PermutationKind,
     ScenarioKind,
@@ -113,6 +115,60 @@ class TestSynthesize:
         assert abs(y.var() - 1.0) <= 0.05
 
 
+def _composed_replicate(spec: ScenarioSpec, rng):
+    """A replicate's (Y, truth) from the public generators and
+    synthesize_observation, in the replicate's draw order."""
+    if spec.kind is ScenarioKind.S1:
+        theta = generate_s1(spec.n, spec.p, spec.alpha, rng)[1].theta
+    elif spec.kind is ScenarioKind.S2:
+        theta = generate_s2(spec.n, spec.p, spec.alpha, rng)[1].theta
+    else:
+        signal = LinearGrowthSignal(a=np.array(spec.a), eta=np.array(spec.eta), b=np.array(spec.b))
+        theta = signal.theta()
+    if spec.permutation is PermutationKind.IDENTITY:
+        pi = None
+    elif spec.permutation is PermutationKind.UNIFORM_RANDOM:
+        pi = rng.permutation(spec.p)
+    else:
+        pi = np.array(spec.given_permutation)
+    y = synthesize_observation(theta, spec.sigma, pi, rng)
+    return y, (theta[:, -1], theta[:, 0], theta[:, -1] - theta[:, 0]), pi
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("permutation", list(PermutationKind))
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_replicate_matches_public_composition(kind, permutation, sigma):
+    """The replicate builds Y in observed column order and the truth at the
+    end columns only; both keep the bytes of the public functions."""
+    n, p = 9, 37
+    rng = np.random.default_rng(5)
+    spec = ScenarioSpec(
+        kind=kind, n=n, p=p, alpha=3.0, sigma=sigma, permutation=permutation, seed=3,
+        given_permutation=tuple(rng.permutation(p).tolist()),
+        **(dict(a=tuple(rng.uniform(0, 3, n)), eta=tuple(rng.normal(size=p)),
+                b=tuple(rng.uniform(0, 6, n))) if kind is ScenarioKind.CUSTOM_LINEAR else {}),
+    )
+    for r in range(3):
+        built_rng, composed_rng = (rng_stream(trial_seed(spec.seed, r)) for _ in range(2))
+        y, truth = simulation._generate_replicate(spec, built_rng)
+        y_ref, truth_ref, pi_ref = _composed_replicate(spec, composed_rng)
+        assert y.tobytes() == y_ref.tobytes()
+        for got, want in zip((truth.theta_r, truth.theta_l, truth.range), truth_ref):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(truth.pi, pi_ref)
+        assert built_rng.bytes(16) == composed_rng.bytes(16)  # the same draws were used up
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.S1, ScenarioKind.S2])
+def test_replicate_matches_public_composition_at_grid_size(kind):
+    spec = ScenarioSpec(kind=kind, n=150, p=1000, alpha=3.0, sigma=1.0, seed=7)
+    y, truth = simulation._generate_replicate(spec, rng_stream(11))
+    y_ref, truth_ref, _ = _composed_replicate(spec, rng_stream(11))
+    assert y.tobytes() == y_ref.tobytes()
+    assert truth.range.tobytes() == truth_ref[2].tobytes()
+
+
 class TestEmpiricalRisk:
     def test_zero_iff_equal(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -138,6 +194,22 @@ class TestEmpiricalRisk:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             empirical_risk([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**600, 2.0**-600, 1e300, 1e-300], ids=["2^600", "2^-600", "1e300", "1e-300"]
+    )
+    def test_no_overflow_or_underflow_far_from_one(self, scale):
+        # the sum of squares of entries near 1e300 overflows; near 1e-300 it is 0
+        e, t = np.array([3.0, -1.0, 2.0]), np.array([-1.0, 2.0, 2.0])
+        with np.errstate(all="raise"):
+            assert empirical_risk(scale * e, scale * t) == pytest.approx(
+                scale * empirical_risk(e, t), rel=1e-15
+            )
+
+    def test_bytes_unchanged_near_one(self):
+        rng = np.random.default_rng(14)
+        e, t = rng.normal(size=50), rng.normal(size=50)
+        assert empirical_risk(e, t) == float(np.linalg.norm(e - t) / np.sqrt(50))
 
 
 class TestMonteCarlo:
@@ -186,6 +258,18 @@ class TestMonteCarlo:
         report = run_monte_carlo(spec, estimators=("spectral",), reps=3)
         assert len(report.failed_replicates) == 3
         assert np.isnan(report.summary("spectral", "range").risks).all()
+
+    def test_huge_risks_summarized_without_overflow(self):
+        # risks near 1e200: the sum of their squares (std) passes the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_monte_carlo(self.spec(sigma=1e200), estimators=("os",), reps=6)
+        assert report.failures == ()
+        summary = report.summary("os", "range")
+        scaled = np.ldexp(summary.risks, -665)  # exact; 2**665 is about 1e200
+        assert summary.std == pytest.approx(np.ldexp(scaled.std(ddof=1), 665), rel=1e-15)
+        assert summary.mean == pytest.approx(np.ldexp(scaled.mean(), 665), rel=1e-15)
+        assert summary.median == pytest.approx(np.median(summary.risks), rel=1e-15)
 
     def test_irep_only_range(self):
         report = run_monte_carlo(
@@ -400,6 +484,18 @@ class TestBlasThreadPin:
         assert reports == [serial] * 12
         assert seen == [1] * 48
         assert blas_threads() == 2
+
+
+def test_simulate_huge_sigma_loses_no_replicate(tmp_path, run_cli):
+    """Risks near 1e153 square past the float range unless rescaled."""
+    cfg = tmp_path / "s1.json"
+    cfg.write_text(json.dumps({"kind": "S1", "n": 5, "p": 20, "alpha": 3.0, "sigma": 1.6e153}),
+                   encoding="utf-8")
+    out = tmp_path / "risk.csv"
+    proc = run_cli("simulate", "--config", cfg, "--reps", 6, "--seed", 1, "--output", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    replicates = {line.split(",")[2] for line in out.read_text().splitlines()[1:]}
+    assert replicates == {str(r) for r in range(6)}
 
 
 @needs_openblas
