@@ -44,7 +44,7 @@ from .estimators import (
     irep_range,
     order_statistic_extremes,
 )
-from .matrix import SignConvention, _openblas_function, _pow2_exponent
+from .matrix import _openblas_function, _pow2_exponent
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -300,23 +300,13 @@ def _rms(d: np.ndarray) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)) / np.sqrt(d.size), e))
 
 
-def empirical_risk(estimate, truth, align: bool = False, counterpart=None) -> float:
-    """Normalized l2 distance ||estimate - truth||_2 / sqrt(n).
-
-    With ``align`` set and a swapped-extreme ``counterpart`` supplied, the
-    smaller of the two risks is returned (oracle R/L alignment).
-    """
+def empirical_risk(estimate, truth) -> float:
+    """Normalized l2 distance ||estimate - truth||_2 / sqrt(n)."""
     e = np.asarray(estimate, dtype=float).ravel()
     t = np.asarray(truth, dtype=float).ravel()
     if e.size != t.size:
         raise LengthMismatch(f"length {e.size} vs {t.size}")
-    risk = _rms(e - t)
-    if align and counterpart is not None:
-        c = np.asarray(counterpart, dtype=float).ravel()
-        if c.size != t.size:
-            raise LengthMismatch(f"length {c.size} vs {t.size}")
-        risk = min(risk, _rms(c - t))
-    return risk
+    return _rms(e - t)
 
 
 @dataclass(frozen=True)
@@ -456,48 +446,58 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
-def _replicate_risks(
-    spec: ScenarioSpec,
-    r: int,
-    estimators: Sequence[str],
-    align: bool,
-    convention: SignConvention,
-    trim_fraction: float,
-) -> dict[tuple[str, str], float]:
-    rng = rng_stream(trial_seed(spec.seed, r))
-    y, truth = _generate_replicate(spec, rng)
+_FROM_CONTEXT = {
+    "spectral": _spectral_from_context,
+    "regression": _regression_from_context,
+    "ds": _direct_sorting_from_context,
+}
 
-    out: dict[tuple[str, str], float] = {}
-    spectral_like = [e for e in estimators if e in ("spectral", "regression", "ds")]
-    if spectral_like:
-        ctx = _spectral_context(y, convention=convention)
-        builders = {
-            "spectral": _spectral_from_context,
-            "regression": _regression_from_context,
-            "ds": _direct_sorting_from_context,
-        }
-        for name in spectral_like:
-            est = builders[name](ctx)
-            out[(name, "thetaR")] = empirical_risk(
-                est.theta_r, truth.theta_r, align, est.theta_l
-            )
-            out[(name, "thetaL")] = empirical_risk(
-                est.theta_l, truth.theta_l, align, est.theta_r
-            )
-            out[(name, "range")] = empirical_risk(
-                est.range, truth.range, align, -est.range
-            )
-    if "os" in estimators:
-        est = order_statistic_extremes(y)
-        out[("os", "thetaR")] = empirical_risk(est.theta_r, truth.theta_r)
-        out[("os", "thetaL")] = empirical_risk(est.theta_l, truth.theta_l)
-        out[("os", "range")] = empirical_risk(est.range, truth.range, align, -est.range)
-    if "irep" in estimators:
-        rng_hat = irep_range(y, trim_fraction=trim_fraction)
-        out[("irep", "range")] = empirical_risk(rng_hat, truth.range, align, -rng_hat)
-    if not np.isfinite(list(out.values())).all():
+
+def _replicate_risks(spec: ScenarioSpec, r: int, estimators: Sequence[str]) -> list[float]:
+    """Replicate r's risks, in the pair order of ``run_monte_carlo``; the
+    spectral, regression and DS estimates share one eigensolve."""
+    y, truth = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
+    truths = (truth.theta_r, truth.theta_l, truth.range)
+    ctx = None
+    risks = []
+    for name in estimators:
+        if name == "irep":
+            risks.append(empirical_risk(irep_range(y), truth.range))
+            continue
+        if name == "os":
+            est = order_statistic_extremes(y)
+        else:
+            if ctx is None:
+                ctx = _spectral_context(y)
+            est = _FROM_CONTEXT[name](ctx)
+        for got, want in zip((est.theta_r, est.theta_l, est.range), truths):
+            risks.append(empirical_risk(got, want))
+    if not np.isfinite(risks).all():
         raise NonFiniteEstimate("a risk overflowed to a non-finite value")
-    return out
+    return risks
+
+
+def _summarize(estimator: str, target: str, risks: np.ndarray) -> RiskSummary:
+    ok = risks[~np.isnan(risks)]
+    if ok.size:
+        # on risks divided by 2**e (exact), so that the sums cannot overflow
+        e = _pow2_exponent(float(ok.max()))
+        scaled = np.ldexp(ok, -e)
+        q1, med, q3 = np.ldexp(np.percentile(scaled, [25.0, 50.0, 75.0]), e)
+        mean = float(np.ldexp(scaled.mean(), e))
+        std = float(np.ldexp(scaled.std(ddof=1), e)) if ok.size > 1 else 0.0
+    else:
+        q1 = med = q3 = mean = std = float("nan")
+    return RiskSummary(
+        estimator=estimator,
+        target=target,
+        risks=risks,
+        mean=mean,
+        std=std,
+        q1=float(q1),
+        median=float(med),
+        q3=float(q3),
+    )
 
 
 def run_monte_carlo(
@@ -505,89 +505,64 @@ def run_monte_carlo(
     estimators: Sequence[str] = DEFAULT_ESTIMATORS,
     reps: int = 200,
     threads: int = 1,
-    align: bool = False,
-    convention: SignConvention = SignConvention.ROW_MAJORITY,
-    trim_fraction: float = 0.05,
 ) -> RiskReport:
     """Run ``reps`` independent replicates of a scenario and summarize risks.
+
+    Each estimator is scored on thetaR, thetaL and range, except irep, which
+    estimates the range only.  Replicate r fills row r of a (reps, pairs)
+    risk array, and each (estimator, target) summary is computed from its
+    column.  The spectral, regression and DS estimators use the row-majority
+    sign convention, and irep trims 5% of each end.
 
     The report depends only on (spec, estimators, reps); ``threads`` changes
     wall-clock time, never the result (see the module docstring for the BLAS
     thread pin that makes this hold).  A replicate that raises a package
     error (e.g. a zero centered matrix under alpha -> 0), or whose risk
-    overflows, is recorded in ``failures`` with its exception class and
-    message, and excluded from the summaries.
+    overflows, leaves its row NaN, is recorded in ``failures`` with its
+    exception class and message, and is excluded from the summaries.
+    An empty, unknown or repeated estimator name raises ``ValueError``.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     estimators = tuple(estimators)
+    if not estimators:
+        raise ValueError("no estimator given")
     known = {e.value for e in EstimatorMethod}
     unknown = [e for e in estimators if e not in known]
     if unknown:
         raise ValueError(f"unknown estimators: {unknown}")
+    repeated = sorted({e for e in estimators if estimators.count(e) > 1})
+    if repeated:
+        raise ValueError(f"repeated estimators: {repeated}")
 
-    def job(r: int):
+    pairs = [(e, t) for e in estimators for t in (("range",) if e == "irep" else TARGETS)]
+    risks = np.full((reps, len(pairs)), np.nan)
+    failures = []
+
+    def job(r: int) -> None:
         # numpy's error state is per thread, so each job sets its own; an
         # overflow shows as a package error or as a non-finite risk
         try:
             with np.errstate(all="ignore"):
-                return r, _replicate_risks(spec, r, estimators, align, convention, trim_fraction)
+                risks[r] = _replicate_risks(spec, r, estimators)
         except PermrowError as exc:
-            return r, exc
+            failures.append((r, type(exc).__name__, str(exc)))
 
     workers = min(threads, reps)
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(job, range(reps)))
+                list(pool.map(job, range(reps)))
         else:
-            results = dict(map(job, range(reps)))
+            for r in range(reps):
+                job(r)
 
-    failures = tuple(
-        (r, type(exc).__name__, str(exc))
-        for r, exc in results.items()
-        if isinstance(exc, PermrowError)
-    )
-    pairs = [
-        (e, t)
-        for e in estimators
-        for t in TARGETS
-        if not (e == "irep" and t != "range")
-    ]
-    summaries = []
-    for estimator, target in pairs:
-        risks = np.full(reps, np.nan)
-        for r in range(reps):
-            if not isinstance(results[r], PermrowError):
-                risks[r] = results[r][(estimator, target)]
-        ok = risks[~np.isnan(risks)]
-        if ok.size:
-            # on risks divided by 2**e (exact), so that the sums cannot overflow
-            e = _pow2_exponent(float(ok.max()))
-            scaled = np.ldexp(ok, -e)
-            q1, med, q3 = np.ldexp(np.percentile(scaled, [25.0, 50.0, 75.0]), e)
-            mean = float(np.ldexp(scaled.mean(), e))
-            std = float(np.ldexp(scaled.std(ddof=1), e)) if ok.size > 1 else 0.0
-        else:
-            q1 = med = q3 = mean = std = float("nan")
-        summaries.append(
-            RiskSummary(
-                estimator=estimator,
-                target=target,
-                risks=risks,
-                mean=mean,
-                std=std,
-                q1=float(q1),
-                median=float(med),
-                q3=float(q3),
-            )
-        )
     return RiskReport(
         spec=spec,
         reps=reps,
         estimators=estimators,
-        summaries=tuple(summaries),
-        failures=failures,
+        summaries=tuple(_summarize(e, t, risks[:, k].copy()) for k, (e, t) in enumerate(pairs)),
+        failures=tuple(sorted(failures)),
     )

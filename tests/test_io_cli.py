@@ -534,6 +534,24 @@ class TestCliSimulate:
         assert err == "permrow: error: threads must be at least 1\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "estimators, message",
+        [
+            ("spectral,os,spectral", "repeated estimators: ['spectral']"),
+            ("", "unknown estimators: ['']"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_bad_estimators_one_line_exit_2(self, tmp_path, capsys, estimators, message):
+        cfg = write(tmp_path / "cfg.json", json.dumps(self.CONFIG))
+        code = main(
+            ["simulate", "--config", cfg, "--reps", "2", "--seed", "1",
+             "--output", str(tmp_path / "o.csv"), "--estimators", estimators]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"permrow: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_all_replicates_fail_exit_3_one_line(self, tmp_path, capsys, threads):
         cfg = write(tmp_path / "cfg.json", json.dumps({**self.CONFIG, "sigma": 1e308}))
@@ -574,6 +592,41 @@ class TestCliSimulate:
              "--output", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+
+ESTIMATOR_NAMES = st.sampled_from(["spectral", "regression", "ds", "os", "irep"])
+ESTIMATOR_LISTS = st.one_of(
+    st.lists(ESTIMATOR_NAMES, min_size=1, unique=True),
+    st.lists(st.one_of(ESTIMATOR_NAMES, st.sampled_from(["", " ", "bogus", " os", "ds "])),
+             max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tokens=ESTIMATOR_LISTS,
+    reps=st.integers(-2, 5),
+    threads=st.integers(-1, 3),
+)
+def test_simulate_fuzz_run_flags_exit_code_and_one_line(tokens, reps, threads):
+    """Any --estimators list (subsets, repeats, empty, unknown names, stray
+    commas and spaces), --reps and --threads ends in exit 0, 2 or 3 with at
+    most one stderr line; warnings are errors, as in the estimate fuzz."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp) / "cfg.json", json.dumps({"kind": "S1", "n": 3, "p": 6}))
+        out = Path(tmp) / "o.csv"
+        argv = ["simulate", "--config", cfg, "--reps", str(reps), "--seed", "1",
+                "--output", str(out), "--threads", str(threads),
+                "--estimators", ",".join(tokens)]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert out.exists() == (code == 0)
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 class TestCliRates:

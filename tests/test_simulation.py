@@ -12,14 +12,20 @@ from permrow import (
     LengthMismatch,
     LinearGrowthSignal,
     NonFiniteInput,
+    PermrowError,
     PermutationKind,
     ScenarioKind,
     ScenarioSpec,
+    direct_sorting_extremes,
     empirical_risk,
     generate_s1,
     generate_s2,
+    irep_range,
+    order_statistic_extremes,
+    regression_extremes,
     rng_stream,
     run_monte_carlo,
+    spectral_extremes,
     splitmix64,
     synthesize_observation,
     trial_seed,
@@ -169,6 +175,86 @@ def test_replicate_matches_public_composition_at_grid_size(kind):
     assert truth.range.tobytes() == truth_ref[2].tobytes()
 
 
+ALL_ESTIMATORS = ("spectral", "regression", "ds", "os", "irep")
+ALL_PAIRS = [
+    (e, t) for e in ALL_ESTIMATORS for t in (("range",) if e == "irep" else simulation.TARGETS)
+]
+PUBLIC_ESTIMATORS = {
+    "spectral": spectral_extremes,
+    "regression": regression_extremes,
+    "ds": direct_sorting_extremes,
+    "os": order_statistic_extremes,
+}
+
+
+def _reference_monte_carlo(spec: ScenarioSpec, reps: int):
+    """(risks, failures) of a plain loop over replicates, built from the
+    public functions: one row of risks per replicate, in the order of
+    ``ALL_PAIRS``; a replicate that raises a package error is a NaN row."""
+    rows, failures = [], []
+    for r in range(reps):
+        y, truth, _ = _composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
+        # a column gather leaves Y in Fortran order, and the Gram product
+        # rounds by memory layout; the replicate builds Y in C order
+        y = np.ascontiguousarray(y)
+        row = []
+        try:
+            with np.errstate(all="ignore"):
+                for name in ALL_ESTIMATORS:
+                    if name == "irep":
+                        row.append(empirical_risk(irep_range(y), truth[2]))
+                        continue
+                    est = PUBLIC_ESTIMATORS[name](y)
+                    for got, want in zip((est.theta_r, est.theta_l, est.range), truth):
+                        row.append(empirical_risk(got, want))
+        except PermrowError as exc:
+            failures.append((r, type(exc).__name__, str(exc)))
+            row = [np.nan] * len(ALL_PAIRS)
+        rows.append(row)
+    return np.array(rows), tuple(failures)
+
+
+def _reference_case(kind, permutation):
+    n, p = 6, 40
+    rng = np.random.default_rng(8)
+    custom = dict(a=tuple(rng.uniform(0, 3, n)), eta=tuple(np.sort(rng.normal(size=p))),
+                  b=tuple(rng.uniform(0, 6, n)))
+    return ScenarioSpec(kind=kind, n=n, p=p, alpha=3.0, sigma=1.0, permutation=permutation,
+                        seed=21, **(custom if kind is ScenarioKind.CUSTOM_LINEAR else {})), 5
+
+
+REFERENCE_CASES = {
+    f"{kind.value}-{perm.value}": _reference_case(kind, perm)
+    for kind in ScenarioKind
+    for perm in (PermutationKind.IDENTITY, PermutationKind.UNIFORM_RANDOM)
+}
+# a_i is 0 or 5e-324, so 7 of the 8 replicates have a zero centred matrix
+REFERENCE_CASES["partial-failure"] = (
+    ScenarioSpec(kind=ScenarioKind.S1, n=2, p=5, alpha=5e-324, sigma=0.0, seed=1), 8
+)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_monte_carlo_matches_reference_loop(case):
+    spec, reps = REFERENCE_CASES[case]
+    report = run_monte_carlo(spec, ALL_ESTIMATORS, reps)
+    want, failures = _reference_monte_carlo(spec, reps)
+    if case == "partial-failure":
+        assert len(failures) == 7
+    assert report.failures == failures
+    assert [(s.estimator, s.target) for s in report.summaries] == ALL_PAIRS
+    got = np.column_stack([s.risks for s in report.summaries])
+    assert got.tobytes() == want.tobytes()
+    failed = np.isin(np.arange(reps), [r for r, _, _ in failures])
+    assert np.isnan(got[failed]).all() and not np.isnan(got[~failed]).any()
+    for s, column in zip(report.summaries, want[~failed].T):
+        column = np.ascontiguousarray(column)
+        assert s.mean == np.mean(column)
+        # one surviving replicate has no spread; np.std(ddof=1) would give NaN
+        assert s.std == (np.std(column, ddof=1) if column.size > 1 else 0.0)
+        assert [s.q1, s.median, s.q3] == np.percentile(column, [25.0, 50.0, 75.0]).tolist()
+
+
 class TestEmpiricalRisk:
     def test_zero_iff_equal(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -183,13 +269,6 @@ class TestEmpiricalRisk:
         e, t = rng.normal(size=100), rng.normal(size=100)
         expected = np.sqrt(sum((a - b) ** 2 for a, b in zip(e, t)) / 100)
         assert empirical_risk(e, t) == pytest.approx(expected, abs=1e-12)
-
-    def test_align_takes_minimum(self):
-        truth = np.array([1.0, 1.0])
-        worse = np.array([5.0, 5.0])
-        better = np.array([1.5, 1.5])
-        risk = empirical_risk(worse, truth, align=True, counterpart=better)
-        assert risk == empirical_risk(better, truth)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -259,6 +338,31 @@ class TestMonteCarlo:
         assert len(report.failed_replicates) == 3
         assert np.isnan(report.summary("spectral", "range").risks).all()
 
+    def test_pool_threads_lose_no_row_or_failure(self):
+        """More pool threads than cores, switching often, write the shared
+        risk rows and failure list; a lost update breaks the equality."""
+        spec = self.spec(n=2, p=5, alpha=5e-324, seed=1)  # most replicates fail
+        serial = run_monte_carlo(spec, ("spectral", "os"), reps=64)
+        assert 0 < len(serial.failures) < 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_monte_carlo(spec, ("spectral", "os"), reps=64, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.failures == serial.failures
+        assert pooled.to_json() == serial.to_json()
+
+    def test_overflowing_risk_fails_its_replicate(self):
+        # Y stays finite near 1e308, but a row's max - min, and so its risk, can overflow
+        report = run_monte_carlo(self.spec(sigma=4e307), estimators=("os",), reps=8)
+        failed = list(report.failed_replicates)
+        assert failed and len(failed) < 8
+        assert {name for _, name, _ in report.failures} == {"NonFiniteEstimate"}
+        risks = report.summary("os", "range").risks
+        assert np.isnan(risks[failed]).all()
+        assert np.isfinite(np.delete(risks, failed)).all()
+
     def test_huge_risks_summarized_without_overflow(self):
         # risks near 1e200: the sum of their squares (std) passes the float range
         with warnings.catch_warnings():
@@ -293,6 +397,15 @@ class TestMonteCarlo:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             run_monte_carlo(self.spec(), estimators=("bogus",), reps=1)
+
+    def test_repeated_estimator_rejected(self):
+        # a repeated name would write each of its risk rows twice
+        with pytest.raises(ValueError, match=r"repeated estimators: \['spectral'\]"):
+            run_monte_carlo(self.spec(), estimators=("spectral", "os", "spectral"), reps=1)
+
+    def test_empty_estimators_rejected(self):
+        with pytest.raises(ValueError, match="no estimator"):
+            run_monte_carlo(self.spec(), estimators=(), reps=1)
 
     def test_risk_decreases_with_n(self):
         # statistical sanity at desk scale: larger n helps the proposed estimator
