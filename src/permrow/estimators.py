@@ -15,7 +15,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import DegenerateRegressor, InsufficientColumns, NonFiniteInput
+from .errors import DegenerateRegressor, InsufficientColumns, NonFiniteEstimate, NonFiniteInput
 from .matrix import (
     CenteredMatrix,
     Ranking,
@@ -64,10 +64,12 @@ class _SpectralContext:
 
 
 def _spectral_context(
-    y, convention: SignConvention = SignConvention.ROW_MAJORITY
+    y, convention: SignConvention = SignConvention.ROW_MAJORITY, out=None
 ) -> _SpectralContext:
+    """The centered matrix (written into ``out``, as ``center_rows`` takes
+    it), its leading triple and the ranking of v."""
     values = np.asarray(y, dtype=float)
-    centered = center_rows(values)  # validates shape and finiteness
+    centered = center_rows(values, out=out)  # validates shape and finiteness
     triple = leading_singular_triple(centered, convention=convention)
     return _SpectralContext(
         y=values, centered=centered, triple=triple, ranking=rank_vector(triple.v)
@@ -161,14 +163,19 @@ def direct_sorting_extremes(
 
 
 def order_statistic_extremes(y) -> ExtremeEstimates:
-    """Baseline: rowwise max and min of Y; no SVD involved."""
+    """Baseline: rowwise max and min of Y; no SVD involved.  A row whose
+    max - min overflows raises NonFiniteEstimate."""
     values = _as_matrix(y, "observation matrix")
     theta_r = values.max(axis=1)
     theta_l = values.min(axis=1)
+    with np.errstate(over="ignore"):
+        range_ = theta_r - theta_l
+    if not np.isfinite(range_).all():
+        raise NonFiniteEstimate("a row's max - min overflowed to a non-finite range")
     return ExtremeEstimates(
         theta_r=theta_r,
         theta_l=theta_l,
-        range=theta_r - theta_l,
+        range=range_,
         v_max=None,
         v_min=None,
         permutation_hat=None,

@@ -96,11 +96,17 @@ def _as_matrix(values, name: str = "matrix", min_rows: int = 2) -> np.ndarray:
     return a
 
 
-def center_rows(values) -> CenteredMatrix:
-    """Subtract each row's mean; returns the centered matrix and the means."""
+def center_rows(values, out=None) -> CenteredMatrix:
+    """Subtract each row's mean; returns the centered matrix and the means.
+
+    The centered matrix is written into ``out`` when it is given: a
+    C-ordered float64 array of ``values``' shape that does not overlap
+    ``values``.  Otherwise it is a new array.
+    """
     y = _as_matrix(values, "observation matrix")
     row_means = y.mean(axis=1)
-    return CenteredMatrix(values=y - row_means[:, None], row_means=row_means)
+    centered = np.subtract(y, row_means[:, None], out=out)
+    return CenteredMatrix(values=centered, row_means=row_means)
 
 
 def _unwrap(x, name: str = "centered matrix") -> np.ndarray:

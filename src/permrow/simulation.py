@@ -11,6 +11,13 @@ columns; Y and the truth are byte for byte those of ``generate_s1`` or
 ``synthesize_observation`` on the same stream, since every entry comes from
 the same float operations.
 
+``run_monte_carlo`` gives each of its worker threads two C-ordered float64
+(n, p) buffers, allocated at the thread's first replicate and dropped when
+the call returns.  A replicate builds Y in the first, draws its noise into
+the second, and then centres Y into the second; only the place where these
+results are written changes, not their bytes.  Nothing a report or an
+estimate keeps points into a buffer.
+
 While ``run_monte_carlo`` runs its replicates it holds the OpenBLAS that
 numpy links at one thread, and restores the previous count when it returns or
 raises; parallelism comes only from its ``threads`` pool.  Each replicate's
@@ -54,6 +61,8 @@ _JSON_KEYS = frozenset(
     ("kind", "n", "p", "alpha", "sigma", "permutation", "seed", "givenPermutation", "a", "eta", "b")
 )
 DEFAULT_ESTIMATORS = ("spectral", "ds", "os")
+# two C-ordered float64 (n, p) arrays that one thread reuses across replicates
+_Buffers = tuple[np.ndarray, np.ndarray]
 
 
 def splitmix64(z: int) -> int:
@@ -98,10 +107,12 @@ class LinearGrowthSignal:
         return _growth_signal(self.a, self.eta, self.b, log=False)
 
 
-def _growth_signal(a: np.ndarray, eta: np.ndarray, b: np.ndarray, log: bool) -> np.ndarray:
+def _growth_signal(
+    a: np.ndarray, eta: np.ndarray, b: np.ndarray, log: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """theta_ij = a_i * eta_j + b_i, or log(1 + a_i * eta_j + b_i) with
-    ``log``, in one new n x len(eta) array."""
-    theta = a[:, None] * eta[None, :]
+    ``log``, in ``out`` or else in one new n x len(eta) array."""
+    theta = np.multiply(a[:, None], eta[None, :], out=out)
     theta += b[:, None]
     if log:
         np.log1p(theta, out=theta)
@@ -263,10 +274,14 @@ def generate_s2(
     return theta, _truth_from_theta(theta)
 
 
-def _add_noise(y: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """y += sigma * N(0, 1) noise, in place; nothing is drawn when sigma == 0."""
+def _add_noise(
+    y: np.ndarray, sigma: float, rng: np.random.Generator, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """y += sigma * N(0, 1) noise, in place, with the noise drawn into
+    ``scratch`` (an array of y's shape) or else a new array; nothing is drawn
+    when sigma == 0."""
     if sigma > 0:
-        z = rng.standard_normal(y.shape)
+        z = rng.standard_normal(y.shape, out=scratch)
         z *= sigma
         y += z
     return y
@@ -286,7 +301,8 @@ def synthesize_observation(
     if pi is None:
         y = theta.copy()
     else:
-        y = theta[:, np.argsort(np.asarray(pi, dtype=np.int64))]
+        # C order, as the replicate builds Y: the Gram product rounds by layout
+        y = np.take(theta, np.argsort(np.asarray(pi, dtype=np.int64)), axis=1)
     return _add_noise(y, sigma, rng)
 
 
@@ -381,10 +397,12 @@ class RiskReport:
 
 
 def _generate_replicate(
-    spec: ScenarioSpec, rng: np.random.Generator
+    spec: ScenarioSpec, rng: np.random.Generator, buffers: _Buffers | None = None
 ) -> tuple[np.ndarray, GroundTruth]:
     """(Y, truth) of one replicate, with Y built directly in observed column
-    order: eta is permuted once, not the n x p signal."""
+    order: eta is permuted once, not the n x p signal.  Y is written into
+    ``buffers[0]`` and the noise drawn into ``buffers[1]`` when they are
+    given; otherwise both are new arrays."""
     if spec.kind is ScenarioKind.CUSTOM_LINEAR:
         a, eta, b = (np.asarray(x, dtype=float) for x in (spec.a, spec.eta, spec.b))
     else:
@@ -398,7 +416,9 @@ def _generate_replicate(
     else:
         pi = np.asarray(spec.given_permutation, dtype=np.int64)
     eta_observed = eta if pi is None else eta[np.argsort(pi)]
-    y = _add_noise(_growth_signal(a, eta_observed, b, log), spec.sigma, rng)
+    y_out, noise_out = (None, None) if buffers is None else buffers
+    y = _growth_signal(a, eta_observed, b, log, out=y_out)
+    _add_noise(y, spec.sigma, rng, scratch=noise_out)
     theta_l, theta_r = _growth_signal(a, eta[[0, -1]], b, log).T.copy()
     truth = GroundTruth(
         theta=None, theta_r=theta_r, theta_l=theta_l, range=theta_r - theta_l, pi=pi
@@ -453,10 +473,14 @@ _FROM_CONTEXT = {
 }
 
 
-def _replicate_risks(spec: ScenarioSpec, r: int, estimators: Sequence[str]) -> list[float]:
+def _replicate_risks(
+    spec: ScenarioSpec, r: int, estimators: Sequence[str], buffers: _Buffers | None = None
+) -> list[float]:
     """Replicate r's risks, in the pair order of ``run_monte_carlo``; the
-    spectral, regression and DS estimates share one eigensolve."""
-    y, truth = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
+    spectral, regression and DS estimates share one eigensolve.  With
+    ``buffers``, Y is built in ``buffers[0]`` and centered into
+    ``buffers[1]`` once the noise drawn there has been added."""
+    y, truth = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)), buffers)
     truths = (truth.theta_r, truth.theta_l, truth.range)
     ctx = None
     risks = []
@@ -468,7 +492,7 @@ def _replicate_risks(spec: ScenarioSpec, r: int, estimators: Sequence[str]) -> l
             est = order_statistic_extremes(y)
         else:
             if ctx is None:
-                ctx = _spectral_context(y)
+                ctx = _spectral_context(y, out=None if buffers is None else buffers[1])
             est = _FROM_CONTEXT[name](ctx)
         for got, want in zip((est.theta_r, est.theta_l, est.range), truths):
             risks.append(empirical_risk(got, want))
@@ -540,13 +564,17 @@ def run_monte_carlo(
     pairs = [(e, t) for e in estimators for t in (("range",) if e == "irep" else TARGETS)]
     risks = np.full((reps, len(pairs)), np.nan)
     failures = []
+    local = threading.local()  # each thread's buffers, dropped with this call
 
     def job(r: int) -> None:
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = (np.empty((spec.n, spec.p)), np.empty((spec.n, spec.p)))
         # numpy's error state is per thread, so each job sets its own; an
         # overflow shows as a package error or as a non-finite risk
         try:
             with np.errstate(all="ignore"):
-                risks[r] = _replicate_risks(spec, r, estimators)
+                risks[r] = _replicate_risks(spec, r, estimators, buffers)
         except PermrowError as exc:
             failures.append((r, type(exc).__name__, str(exc)))
 

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from permrow import (
     EstimatorMethod,
     InsufficientColumns,
+    NonFiniteEstimate,
     ZeroMatrixError,
     direct_sorting_extremes,
     irep_extremes,
@@ -120,6 +123,12 @@ class TestOrderStatistic:
     def test_constant_row_zero_range(self):
         est = order_statistic_extremes([[3.0, 3.0, 3.0], [1.0, 2.0, 3.0]])
         assert est.range[0] == 0.0
+
+    def test_overflowing_range_raises_without_warning(self):
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise
+            with pytest.raises(NonFiniteEstimate, match="max - min overflowed"):
+                order_statistic_extremes([[-1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]])
 
     def test_pure_noise_range_grows_like_sqrt_log_p(self):
         # rowwise max - min of N(0,1) noise scales with sqrt(log p)

@@ -18,6 +18,7 @@ from oracles import load_coverage_csv_per_cell
 from permrow import (
     DimensionMismatch,
     DuplicateSampleId,
+    NonFiniteEstimate,
     ParseError,
     load_coverage_csv,
     order_statistic_extremes,
@@ -291,6 +292,13 @@ def test_write_load_round_trip(ids, p, data):
         assert table.sample_ids == tuple(ids)
         assert table.values.tobytes() == values.tobytes()
 
+        with np.errstate(over="ignore"):
+            spans = values.max(axis=1) - values.min(axis=1)
+        if not np.isfinite(spans).all():
+            # a row's max - min passes the float range (values near +-1.7e308)
+            with pytest.raises(NonFiniteEstimate):
+                order_statistic_extremes(table.values)
+            return
         out = Path(tmp) / "est.csv"
         write_estimates_csv(out, order_statistic_extremes(table.values), table.sample_ids)
         with open(out, newline="", encoding="utf-8") as fh:
@@ -618,6 +626,64 @@ def test_simulate_fuzz_run_flags_exit_code_and_one_line(tokens, reps, threads):
         argv = ["simulate", "--config", cfg, "--reps", str(reps), "--seed", "1",
                 "--output", str(out), "--threads", str(threads),
                 "--estimators", ",".join(tokens)]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert out.exists() == (code == 0)
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+
+
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 3.0, 1e200, 1e308, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+FINITE = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1.0, -3.0, 1e200, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+OUT_OF_RANGE = st.sampled_from([-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def scenario_configs(draw):
+    """Scenario configs at the smallest shapes: huge, tiny and zero alpha,
+    sigma and CustomLinear a/eta/b, and at most one of those (or one entry)
+    negative or non-finite."""
+    n, p = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([3, 4, 8]))
+    kind = draw(st.sampled_from(["S1", "S2", "CustomLinear"]))
+    permutation = draw(st.sampled_from(["Identity", "UniformRandom", "Given"]))
+    doc = {"kind": kind, "n": n, "p": p, "alpha": draw(POSITIVE),
+           "sigma": draw(st.one_of(st.just(0.0), POSITIVE)), "permutation": permutation}
+    if permutation == "Given":
+        doc["givenPermutation"] = draw(st.permutations(range(p)))
+    if kind == "CustomLinear":
+        for key, length in (("a", n), ("eta", p), ("b", n)):
+            doc[key] = draw(st.lists(FINITE, min_size=length, max_size=length))
+    bad = draw(st.sampled_from([None, "alpha", "sigma", *(("a", "eta", "b") if "a" in doc else ())]))
+    if bad in ("alpha", "sigma"):
+        doc[bad] = draw(OUT_OF_RANGE)
+    elif bad is not None:
+        doc[bad][draw(st.integers(0, len(doc[bad]) - 1))] = draw(OUT_OF_RANGE)
+    event(f"{kind} {permutation}")
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=scenario_configs(), threads=st.sampled_from([1, 2]))
+def test_simulate_fuzz_configs_exit_code_and_one_line(config, threads):
+    """Any small scenario config ends in exit 0, 2 or 3 with at most one
+    stderr line, at one and two threads, with every estimator; warnings are
+    errors, as in the estimate fuzz."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp) / "cfg.json", json.dumps(config))  # NaN and Infinity as JSON
+        out = Path(tmp) / "o.csv"
+        argv = ["simulate", "--config", cfg, "--reps", "3", "--seed", "1",
+                "--output", str(out), "--threads", str(threads),
+                "--estimators", "spectral,regression,ds,os,irep"]
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")

@@ -31,6 +31,7 @@ from permrow import (
     trial_seed,
 )
 from permrow import simulation
+from permrow.matrix import center_rows
 
 BLAS = simulation._openblas_thread_calls()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
@@ -120,6 +121,17 @@ class TestSynthesize:
         assert abs(y.mean()) <= 3e-2
         assert abs(y.var() - 1.0) <= 0.05
 
+    def test_permuted_output_is_c_ordered(self):
+        """The Gram product rounds by memory layout, so a Fortran-ordered Y
+        would give other last digits than the same values in C order."""
+        rng = np.random.default_rng(17)
+        theta = generate_s1(30, 200, 3.0, rng_stream(4))[1].theta
+        y = synthesize_observation(theta, 1.0, rng.permutation(200), rng_stream(5))
+        assert y.flags.c_contiguous
+        got, want = spectral_extremes(y), spectral_extremes(y.copy(order="C"))
+        for field in ("theta_r", "theta_l", "range"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
 
 def _composed_replicate(spec: ScenarioSpec, rng):
     """A replicate's (Y, truth) from the public generators and
@@ -155,15 +167,55 @@ def test_replicate_matches_public_composition(kind, permutation, sigma):
         **(dict(a=tuple(rng.uniform(0, 3, n)), eta=tuple(rng.normal(size=p)),
                 b=tuple(rng.uniform(0, 6, n))) if kind is ScenarioKind.CUSTOM_LINEAR else {}),
     )
+    # reused across replicates, as a worker thread does; NaN shows a stale entry
+    buffers = (np.full((n, p), np.nan), np.full((n, p), np.nan))
     for r in range(3):
-        built_rng, composed_rng = (rng_stream(trial_seed(spec.seed, r)) for _ in range(2))
+        built_rng, composed_rng, buffered_rng = (
+            rng_stream(trial_seed(spec.seed, r)) for _ in range(3)
+        )
         y, truth = simulation._generate_replicate(spec, built_rng)
         y_ref, truth_ref, pi_ref = _composed_replicate(spec, composed_rng)
         assert y.tobytes() == y_ref.tobytes()
         for got, want in zip((truth.theta_r, truth.theta_l, truth.range), truth_ref):
             assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(truth.pi, pi_ref)
-        assert built_rng.bytes(16) == composed_rng.bytes(16)  # the same draws were used up
+        after = built_rng.bytes(16)
+        assert composed_rng.bytes(16) == after  # the same draws were used up
+
+        y_buf, truth_buf = simulation._generate_replicate(spec, buffered_rng, buffers)
+        assert np.shares_memory(y_buf, buffers[0]) and y_buf.flags.c_contiguous
+        assert y_buf.tobytes() == y.tobytes()
+        for got, want in zip((truth_buf.theta_r, truth_buf.theta_l, truth_buf.range),
+                             (truth.theta_r, truth.theta_l, truth.range)):
+            assert got.tobytes() == want.tobytes()
+            assert not any(np.shares_memory(got, buf) for buf in buffers)
+        assert buffered_rng.bytes(16) == after
+
+
+def test_replicate_centres_into_second_buffer(monkeypatch):
+    """The shared spectral context centres Y (in buffer 0) into buffer 1,
+    with the bytes ``center_rows`` gives on a new array."""
+    contexts = []
+    spectral_context = simulation._spectral_context
+
+    def spy(*args, **kwargs):
+        ctx = spectral_context(*args, **kwargs)
+        contexts.append((ctx, ctx.y.copy(), ctx.centered.values.copy()))  # buffers get reused
+        return ctx
+
+    monkeypatch.setattr(simulation, "_spectral_context", spy)
+    spec = ScenarioSpec(kind=ScenarioKind.S2, n=12, p=50, alpha=3.0, sigma=1.0, seed=4)
+    buffers = (np.full((12, 50), np.nan), np.full((12, 50), np.nan))
+    for r in range(3):
+        risks = simulation._replicate_risks(spec, r, ALL_ESTIMATORS, buffers)
+        assert risks == simulation._replicate_risks(spec, r, ALL_ESTIMATORS)
+    assert len(contexts) == 6  # a buffered and an allocating call per replicate
+    for (ctx, y, centred), (ref, _, _) in zip(contexts[::2], contexts[1::2]):
+        assert np.shares_memory(ctx.y, buffers[0])
+        assert np.shares_memory(ctx.centered.values, buffers[1])
+        assert not any(np.shares_memory(ref.centered.values, buf) for buf in buffers)
+        assert y.tobytes() == ref.y.tobytes()
+        assert centred.tobytes() == center_rows(ref.y).values.tobytes()
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.S1, ScenarioKind.S2])
@@ -194,9 +246,6 @@ def _reference_monte_carlo(spec: ScenarioSpec, reps: int):
     rows, failures = [], []
     for r in range(reps):
         y, truth, _ = _composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
-        # a column gather leaves Y in Fortran order, and the Gram product
-        # rounds by memory layout; the replicate builds Y in C order
-        y = np.ascontiguousarray(y)
         row = []
         try:
             with np.errstate(all="ignore"):
@@ -338,16 +387,29 @@ class TestMonteCarlo:
         assert len(report.failed_replicates) == 3
         assert np.isnan(report.summary("spectral", "range").risks).all()
 
-    def test_pool_threads_lose_no_row_or_failure(self):
+    @pytest.mark.parametrize(
+        "spec_kw, estimators, reps",
+        [
+            # most replicates fail
+            (dict(n=2, p=5, alpha=5e-324, seed=1), ("spectral", "os"), 64),
+            # grid-sized buffers: one shared across threads would mix replicates
+            (dict(kind=ScenarioKind.S2, n=150, p=1000, sigma=1.0, seed=2),
+             ("spectral", "ds", "os"), 24),
+        ],
+        ids=["failures", "S2-150x1000"],
+    )
+    def test_pool_threads_lose_no_row_or_failure(self, spec_kw, estimators, reps):
         """More pool threads than cores, switching often, write the shared
-        risk rows and failure list; a lost update breaks the equality."""
-        spec = self.spec(n=2, p=5, alpha=5e-324, seed=1)  # most replicates fail
-        serial = run_monte_carlo(spec, ("spectral", "os"), reps=64)
-        assert 0 < len(serial.failures) < 64
+        risk rows and failure list and build replicates in their own
+        buffers; a lost update or a shared buffer breaks the equality."""
+        spec = self.spec(**spec_kw)
+        serial = run_monte_carlo(spec, estimators, reps=reps)
+        if spec.n == 2:
+            assert 0 < len(serial.failures) < reps
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = run_monte_carlo(spec, ("spectral", "os"), reps=64, threads=8)
+            pooled = run_monte_carlo(spec, estimators, reps=reps, threads=8)
         finally:
             sys.setswitchinterval(interval)
         assert pooled.failures == serial.failures
