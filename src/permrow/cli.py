@@ -104,7 +104,7 @@ def _cmd_rates(args) -> int:
     }
     if args.beta_l is not None:
         out["rateRange"] = minimax_rate_extreme(idx, args.n, args.p, target="range")
-    print(json.dumps(out))
+    _print_json(out)
     return 0
 
 
@@ -134,8 +134,17 @@ def _cmd_compare(args) -> int:
                 }
             )
         out = {"test": "t", "variant": variant.value, "comparisons": comparisons}
-    print(json.dumps(out))
+    _print_json(out)
     return 0
+
+
+def _print_json(doc: dict) -> None:
+    """Print ``doc`` as JSON; a NaN or infinity in it raises NonFiniteEstimate."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise NonFiniteEstimate("a result overflowed to a non-finite value") from None
+    print(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,6 +204,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"permrow: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"permrow: error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except NumericalDegeneracyError as exc:
         print(f"permrow: numerical degeneracy: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import DegenerateRegressor, InsufficientColumns, NonFiniteEstimate, NonFiniteInput
+from .errors import DegenerateRegressor, InsufficientColumns, NonFiniteEstimate
 from .matrix import (
     CenteredMatrix,
     Ranking,
@@ -196,11 +196,7 @@ def irep_range(y, trim_fraction: float = 0.05) -> np.ndarray:
     """
     if not 0.0 <= trim_fraction < 0.25:
         raise ValueError("trim_fraction must lie in [0, 0.25)")
-    values = np.atleast_2d(np.asarray(y, dtype=float))
-    if values.ndim != 2 or values.shape[1] < 2:
-        raise ValueError("need a matrix (or row) with at least 2 columns")
-    if not np.isfinite(values).all():
-        raise NonFiniteInput("matrix contains NaN or infinite entries")
+    values = _as_matrix(np.atleast_2d(y), "observation matrix", min_rows=1)
     p = values.shape[1]
     t = floor(trim_fraction * p)
     if p - 2 * t < 3:

@@ -1,10 +1,10 @@
 """Dense-matrix primitives.
 
-Row centering, the leading singular triple of the centered matrix from the
-top two eigenpairs of the Gram matrix on its smaller side (LAPACK dsyevr of
-the OpenBLAS that numpy links, or ``np.linalg.eigh`` where that is not
-found), ranking/permutation machinery, and a residual-spectrum diagnostic
-for the approximate rank-one condition.
+Row centering, ranking/permutation machinery, and the leading singular
+triple of the centered matrix and a residual-spectrum diagnostic for the
+approximate rank-one condition, which share one solve: the top k eigenpairs
+of the Gram matrix on the smaller side, from LAPACK dsyevr of the OpenBLAS
+that numpy links (``np.linalg.eigh`` where that is not found).
 
 The public functions here are pure; none mutates its arguments.
 """
@@ -138,11 +138,14 @@ def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     The Gram matrix is a new min(n, p) square array.  e is
     ``_pow2_exponent(max |x|)``: 0 where the product is far from overflow
     and from subnormals, else such that the largest Gram entries are near 1.
+    Raises ZeroMatrixError when every entry is zero.
     """
     a = values if values.shape[0] <= values.shape[1] else values.T
     top = max(a.max(), -a.min())
     if not np.isfinite(top):  # row centering overflowed
         raise GramOverflow(_OVERFLOW)
+    if top == 0.0:
+        raise ZeroMatrixError("matrix has zero Frobenius norm; no direction defined")
     e = _pow2_exponent(top)
     if e == 0:
         return a, a @ a.T, 0
@@ -184,40 +187,40 @@ def _dsyevr():
     )
 
 
-def _top_eigenpair(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """(s, mu2): the eigenvector of the largest eigenvalue of the symmetric
-    ``gram`` and its second-largest eigenvalue.  Overwrites ``gram``.
+def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mus, s): the k largest eigenvalues of the symmetric ``gram``, in
+    descending order, and the eigenvector of the largest.  Overwrites ``gram``.
 
-    One dsyevr call asks for eigenpairs n-1 and n alone; it releases the
+    One dsyevr call asks for eigenpairs n-k+1..n alone; it releases the
     GIL, so pool threads solve at the same time.  A failed call raises
-    NumericalDegeneracyError.  Where dsyevr is not found, ``np.linalg.eigh``
-    solves for all n eigenpairs.
+    NumericalDegeneracyError.  Where dsyevr is not found, or n < k,
+    ``np.linalg.eigh`` solves for all n eigenpairs (mus has min(n, k)).
     """
     import ctypes
 
     dsyevr = _dsyevr()
     n = gram.shape[0]
-    if dsyevr is None or n < 2:  # n = 1 only for a hand-made one-row CenteredMatrix
+    if dsyevr is None or n < k:  # n < k only for a hand-made one-row CenteredMatrix
         mus, vecs = np.linalg.eigh(gram)
-        return vecs[:, -1], float(mus[-2]) if n > 1 else 0.0
+        return mus[::-1][:k], vecs[:, -1]
     gram = np.require(gram, np.float64, ["C", "W"])  # no copy for a Gram product
-    size, il, m, info = (ctypes.c_int64(k) for k in (n, n - 1, 0, 0))
+    size, il, m, info = (ctypes.c_int64(i) for i in (n, n - k + 1, 0, 0))
     lwork, liwork = ctypes.c_int64(26 * n), ctypes.c_int64(10 * n)  # the documented minima
     zero = ctypes.c_double(0.0)  # VL and VU (unused), and ABSTOL (the default)
-    w, z = (ctypes.c_double * n)(), (ctypes.c_double * (2 * n))()  # z: column-major n x 2
+    w, z = (ctypes.c_double * n)(), (ctypes.c_double * (k * n))()  # z: column-major n x k
     work, iwork = (ctypes.c_double * lwork.value)(), (ctypes.c_int64 * liwork.value)()
-    isuppz = (ctypes.c_int64 * 4)()
+    isuppz = (ctypes.c_int64 * (2 * k))()
     ref = ctypes.byref
     dsyevr(
         b"V", b"I", b"L", ref(size), gram.ctypes.data, ref(size), ref(zero), ref(zero),
         ref(il), ref(size), ref(zero), ref(m), w, z, ref(size), isuppz,
         work, ref(lwork), iwork, ref(liwork), ref(info), 1, 1, 1,
     )
-    if info.value != 0 or m.value != 2:
+    if info.value != 0 or m.value != k:
         raise NumericalDegeneracyError(
-            f"eigensolve failed: LAPACK dsyevr gave info={info.value} and {m.value} of 2 eigenpairs"
+            f"eigensolve failed: LAPACK dsyevr gave info={info.value} and {m.value} of {k} eigenpairs"
         )
-    return np.frombuffer(z, offset=8 * n), w[0]
+    return np.frombuffer(w, count=k)[::-1], np.frombuffer(z, offset=8 * n * (k - 1))
 
 
 def _scale_back(lam: float, e: int) -> float:
@@ -246,11 +249,8 @@ def leading_singular_triple(
     NumericalDegeneracyError when the eigensolve fails.
     """
     values = _unwrap(x)
-    if not np.any(values):
-        raise ZeroMatrixError("matrix has zero Frobenius norm; no direction defined")
-
     b, gram, e = _short_gram(values)
-    s, mu2 = _top_eigenpair(gram)
+    mus, s = _top_eigenpairs(gram, 2)
     bts = b.T @ s
     lam_b = float(np.linalg.norm(bts))
     if lam_b == 0.0:
@@ -261,22 +261,14 @@ def leading_singular_triple(
     # b^T s = lam_b t holds by construction; b t = lam_b s is what the solve leaves inexact
     residual = float(np.ldexp(np.linalg.norm(bt - lam_b * s), e))
     converged = residual <= DEFAULT_TOL * (lam + 1.0)
-    if values.shape[0] <= values.shape[1]:
-        u, v, xv = s, t, bt
-    else:
-        u, v, xv = t, s, bts
+    u, v, xv = (s, t, bt) if values.shape[0] <= values.shape[1] else (t, s, bts)
 
-    if convention is SignConvention.ROW_MAJORITY:
-        total = float(xv.sum())
-        if total != 0.0:
-            flip = total < 0.0
-        else:
-            flip = _first_nonzero_is_positive(v)
-    else:
-        flip = _first_nonzero_is_positive(v)
+    total = float(xv.sum()) if convention is SignConvention.ROW_MAJORITY else 0.0
+    flip = total < 0.0 if total != 0.0 else _first_nonzero_is_positive(v)
     if flip:
         u, v = -u, -v
-    lam2 = float(np.ldexp(np.sqrt(max(mu2, 0.0)), e))
+    # a one-row matrix has no second eigenvalue; roundoff can drive it below 0
+    lam2 = float(np.ldexp(np.sqrt(mus[1:].max(initial=0.0)), e))
 
     return SingularTriple(
         lam=lam,
@@ -305,19 +297,16 @@ def rank_vector(x) -> Ranking:
 def residual_spectrum(x, k: int) -> tuple[float, float]:
     """Top singular value and the sum of singular values 2..k.
 
-    Read off the eigenvalues of the Gram matrix on the smaller side.  The
-    residual sum feeds the approximate rank-one diagnostic
-    sum_{i>=2} lam_i <= sigma sqrt(log p).  Eigenvalues driven negative by
-    roundoff are clamped to zero.
+    Read off the top k eigenvalues of the Gram matrix on the smaller side,
+    solved as in ``leading_singular_triple``.  The residual sum feeds the
+    approximate rank-one diagnostic sum_{i>=2} lam_i <= sigma sqrt(log p).
+    Eigenvalues driven negative by roundoff are clamped to zero.
     """
     values = _unwrap(x)
     n, p = values.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k must be in [1, min(n, p)] = [1, {min(n, p)}], got {k}")
-    if not np.any(values):
-        raise ZeroMatrixError("matrix has zero Frobenius norm")
-
     _, gram, e = _short_gram(values)
-    mus = np.linalg.eigvalsh(gram)[::-1][:k]
+    mus, _ = _top_eigenpairs(gram, k)
     lams = np.sqrt(np.clip(mus, 0.0, None))
     return _scale_back(lams[0], e), _scale_back(lams[1:].sum(), e)

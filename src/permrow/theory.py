@@ -38,12 +38,16 @@ class SignalIndices:
     sigma: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        _check_t_sigma(self.t, self.sigma)
         if not 0 <= self.beta_r <= 1 or not 0 <= self.beta_l <= 1:
             raise ValueError("beta_r and beta_l must lie in [0, 1]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+
+
+def _check_t_sigma(t: float, sigma: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
 
 
 def rate_psi(n: int, p) -> float:
@@ -95,10 +99,7 @@ def minimax_rate_extreme(
 def classify_snr(t: float, sigma: float, n: int, p: int) -> SnrRegime:
     """Weak / intermediate / strong SNR regime of t^2 against sigma^2 sqrt(np)
     and sigma^2 p.  Exact boundaries belong to the lower regime."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_t_sigma(t, sigma)
     t2 = t * t
     if t2 <= sigma * sigma * math.sqrt(n * p):
         return SnrRegime.WEAK
@@ -120,8 +121,6 @@ def linear_signal_indices(a, eta, sigma: float) -> SignalIndices:
     a_norm = float(np.linalg.norm(a))
     if eta_norm == 0.0 or a_norm == 0.0:
         raise ZeroSignal("a and eta must both have positive norm")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     return SignalIndices(
         t=a_norm * eta_norm,
         beta_r=float(eta[-1]) / eta_norm,

@@ -458,6 +458,13 @@ def test_estimate_fuzz_exit_code_and_one_line(n, p, defect, method, exp, data):
     assert "Traceback" not in err.getvalue()
 
 
+# sizes no machine can allocate: a (reps, pairs) risk array of at least
+# 8e14 bytes, and n x p buffers of 8e14 bytes each (both past any
+# user address space, and below numpy's own size limit)
+HUGE_REPS = 10**14
+HUGE_SHAPE = {"n": 10**7, "p": 10**7}
+
+
 class TestCliSimulate:
     CONFIG = {
         "kind": "S1",
@@ -593,6 +600,20 @@ class TestCliSimulate:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 9 and {row.split(",")[2] for row in rows} == {"2"}
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "reps, extra", [(HUGE_REPS, {}), (2, HUGE_SHAPE)], ids=["risk-array", "buffers"]
+    )
+    def test_out_of_memory_one_line_exit_2(self, tmp_path, capsys, threads, reps, extra):
+        cfg = write(tmp_path / "cfg.json", json.dumps({**self.CONFIG, **extra}))
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--config", cfg, "--reps", str(reps), "--seed", "1",
+                     "--output", str(out), "--threads", threads])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("permrow: error: not enough memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", "{not json")
         code = main(
@@ -613,13 +634,14 @@ ESTIMATOR_LISTS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(
     tokens=ESTIMATOR_LISTS,
-    reps=st.integers(-2, 5),
+    reps=st.one_of(st.integers(-2, 5), st.just(HUGE_REPS)),
     threads=st.integers(-1, 3),
 )
 def test_simulate_fuzz_run_flags_exit_code_and_one_line(tokens, reps, threads):
     """Any --estimators list (subsets, repeats, empty, unknown names, stray
-    commas and spaces), --reps and --threads ends in exit 0, 2 or 3 with at
-    most one stderr line; warnings are errors, as in the estimate fuzz."""
+    commas and spaces), --reps (also one too large to allocate) and
+    --threads ends in exit 0, 2 or 3 with at most one stderr line; warnings
+    are errors, as in the estimate fuzz."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp) / "cfg.json", json.dumps({"kind": "S1", "n": 3, "p": 6}))
         out = Path(tmp) / "o.csv"
@@ -650,12 +672,14 @@ OUT_OF_RANGE = st.sampled_from([-1.0, -5e-324, float("nan"), float("inf"), float
 
 @st.composite
 def scenario_configs(draw):
-    """Scenario configs at the smallest shapes: huge, tiny and zero alpha,
-    sigma and CustomLinear a/eta/b, and at most one of those (or one entry)
-    negative or non-finite."""
+    """Scenario configs at the smallest shapes, or S1 and S2 at a shape too
+    large to allocate: huge, tiny and zero alpha, sigma and CustomLinear
+    a/eta/b, and at most one of those (or one entry) negative or non-finite."""
     n, p = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([3, 4, 8]))
     kind = draw(st.sampled_from(["S1", "S2", "CustomLinear"]))
     permutation = draw(st.sampled_from(["Identity", "UniformRandom", "Given"]))
+    if kind != "CustomLinear" and permutation != "Given" and draw(st.integers(0, 7)) == 0:
+        n, p = HUGE_SHAPE["n"], HUGE_SHAPE["p"]
     doc = {"kind": kind, "n": n, "p": p, "alpha": draw(POSITIVE),
            "sigma": draw(st.one_of(st.just(0.0), POSITIVE)), "permutation": permutation}
     if permutation == "Given":
@@ -784,3 +808,103 @@ class TestCliCompare:
         assert main(["compare", "--input", inp, "--test", test]) == 3
         err = capsys.readouterr().err
         assert err.startswith("permrow: numerical degeneracy:") and err.count("\n") == 1
+
+
+def _run_json_command(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, with warnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_strict_json_outcome(code, out, err):
+    """Exit 0, 2 or 3 with at most one stderr line, and on 0 a stdout that
+    parses as JSON with no NaN or Infinity."""
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=pytest.fail)
+
+
+GROUP_VALUES = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["0", "1e308", "-1e308", "1.7e308", "-1.7e308", "1e-160", "5e-324"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # mostly valid, so that exit 0 is common: one group in five, a singleton
+    # in one group of five, a zero-variance table and a bad cell in four
+    sizes=st.sampled_from([2, 3, 4, 2, 1]).flatmap(
+        lambda k: st.lists(st.sampled_from([2, 3, 4, 2, 1]), min_size=k, max_size=k)
+    ),
+    constant=st.sampled_from([False, False, False, True]),
+    bad_cell=st.one_of(st.none(), st.none(), st.none(), BAD_CELLS),
+    argv=st.sampled_from([["--test", "f"], ["--test", "t", "--variant", "welch"],
+                          ["--test", "t", "--variant", "pooled"]]),
+    data=st.data(),
+)
+def test_compare_fuzz_exit_code_and_strict_json(sizes, constant, bad_cell, argv, data):
+    """Any small grouped CSV (one group, singletons, zero-variance groups,
+    values near +-1e308 or tiny, at most one non-numeric cell) ends in exit
+    0, 2 or 3 with at most one stderr line, and prints strict JSON."""
+    rows = []
+    for g, size in enumerate(sizes):
+        values = data.draw(st.lists(GROUP_VALUES, min_size=size, max_size=size))
+        if constant:  # every group has zero variance
+            values = [values[0]] * size
+        rows += [(f"s{g}_{i}", f"G{g}", value) for i, value in enumerate(values)]
+    if bad_cell is not None:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = (*rows[i][:2], bad_cell)
+    text = "sampleId,group,value\n" + "".join(",".join(row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = write(Path(tmp) / "g.csv", text)
+        _assert_strict_json_outcome(*_run_json_command(["compare", "--input", inp, *argv]))
+
+
+RATE_SPECIALS = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308"])
+
+
+def rate_flag(ordinary):
+    """A flag value: one of the special values in three, else ``ordinary``."""
+    return st.one_of(RATE_SPECIALS, ordinary.map(repr), ordinary.map(repr))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=rate_flag(st.floats(0.0, 1e3)),
+    beta_r=rate_flag(st.floats(0.0, 1.0)),
+    beta_l=st.one_of(st.none(), rate_flag(st.floats(0.0, 1.0))),
+    sigma=rate_flag(st.floats(1e-3, 1e3)),
+    n=st.sampled_from([0, 1, 2, 100, 10**6]),
+    p=st.sampled_from([1, 2, 3, 1000, 10**9]),
+)
+def test_rates_fuzz_exit_code_and_strict_json(t, beta_r, beta_l, sigma, n, p):
+    """Any rates flags (NaN, +-inf, 0, -1, 1e+-308 and ordinary values) end
+    in exit 0, 2 or 3 with at most one stderr line, and print strict JSON."""
+    argv = ["rates", f"--t={t}", f"--beta-r={beta_r}", f"--sigma={sigma}", f"--n={n}",
+            f"--p={p}", *([] if beta_l is None else [f"--beta-l={beta_l}"])]
+    _assert_strict_json_outcome(*_run_json_command(argv))
+
+
+@pytest.mark.parametrize("flag", ["--t=nan", "--t=inf", "--sigma=inf", "--sigma=nan"])
+def test_rates_non_finite_flag_exit_2(capsys, flag):
+    argv = ["rates", "--t=5", "--beta-r=0.5", "--sigma=1", "--n=10", "--p=100", flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("permrow: error:")
+
+
+def test_rates_non_finite_result_exit_3_one_line(capsys):
+    # sigma * psi overflows: sigma = 1e308 and psi = sqrt(ln 1000 / 1) > 2
+    argv = ["rates", "--t=5", "--beta-r=0.5", "--sigma=1e308", "--n=1", "--p=1000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "permrow: numerical degeneracy: a result overflowed to a non-finite value\n"

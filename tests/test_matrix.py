@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrow import (
@@ -18,6 +18,7 @@ from permrow import (
 )
 from permrow import matrix
 from oracles import centering_oracle, jacobi_eigh, rank_oracle
+from strategies import SHAPES, gapped_matrix
 
 RANK_ONE = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0]])
 
@@ -216,7 +217,7 @@ TIED = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])  # singular valu
 
 
 class TestEigensolverParity:
-    """The dsyevr top-two solve against the np.linalg.eigh fallback."""
+    """The dsyevr top-k solve against the np.linalg.eigh fallback."""
 
     @pytest.mark.parametrize(
         "shape", [(12, 40), (40, 12), (150, 1000)], ids=["wide", "tall", "grid"]
@@ -227,12 +228,12 @@ class TestEigensolverParity:
         signal = np.outer(rng.uniform(0.0, 3.0, shape[0]), np.linspace(-1.0, 1.0, shape[1]))
         x = scale * center_rows(signal + rng.normal(size=shape)).values
         _, gram, _ = matrix._short_gram(x)
-        s, mu2 = matrix._top_eigenpair(gram.copy())
+        mus, s = matrix._top_eigenpairs(gram.copy(), 2)
         t = leading_singular_triple(x)
         _without_lapack(monkeypatch)
-        s_ref, mu2_ref = matrix._top_eigenpair(gram.copy())
+        mus_ref, s_ref = matrix._top_eigenpairs(gram.copy(), 2)
         ref = leading_singular_triple(x)
-        assert mu2 == pytest.approx(mu2_ref, rel=1e-12)
+        np.testing.assert_allclose(mus, mus_ref, rtol=1e-12)
         assert abs(s @ s_ref) == pytest.approx(1.0, abs=1e-12)
         assert t.lam == pytest.approx(ref.lam, rel=1e-12)
         assert t.u @ ref.u == pytest.approx(1.0, abs=1e-12)  # same sign, too
@@ -247,12 +248,12 @@ class TestEigensolverParity:
         # values and the warning can be compared
         x = scale * x
         _, gram, _ = matrix._short_gram(x)
-        _, mu2 = matrix._top_eigenpair(gram.copy())
+        mus, _ = matrix._top_eigenpairs(gram.copy(), 2)
         t = leading_singular_triple(x)
         _without_lapack(monkeypatch)
-        _, mu2_ref = matrix._top_eigenpair(gram.copy())
+        mus_ref, _ = matrix._top_eigenpairs(gram.copy(), 2)
         ref = leading_singular_triple(x)
-        assert mu2 == pytest.approx(mu2_ref, rel=1e-12)
+        np.testing.assert_allclose(mus, mus_ref, rtol=1e-12)
         assert t.lam == pytest.approx(ref.lam, rel=1e-12)
         assert t.lam == pytest.approx(scale * np.sqrt(2.0), rel=1e-12)
         assert t.multiplicity_warning and ref.multiplicity_warning
@@ -275,6 +276,22 @@ class TestEigensolverParity:
             pytest.skip("numpy does not link the ILP64 scipy-openblas")
         assert matrix._dsyevr() is not None
 
+    @pytest.mark.parametrize(
+        "shape", [(12, 40), (40, 12), (150, 1000)], ids=["wide", "tall", "grid"]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500], ids=["1", "2^500", "2^-500"])
+    @pytest.mark.parametrize("k", ["2", "min"])
+    def test_same_residual_spectrum(self, shape, scale, k, monkeypatch):
+        # not row-centred, so that no eigenvalue of the tall Gram matrix is
+        # zero up to roundoff, whose square root would differ by solver
+        rng = np.random.default_rng(32)
+        signal = np.outer(rng.uniform(0.0, 3.0, shape[0]), np.linspace(-1.0, 1.0, shape[1]))
+        x = scale * (signal + rng.normal(size=shape))
+        k = 2 if k == "2" else min(shape)
+        got = residual_spectrum(x, k)
+        _without_lapack(monkeypatch)
+        np.testing.assert_allclose(got, residual_spectrum(x, k), rtol=1e-12)
+
     def test_failed_solve_raises(self, monkeypatch):
         # an info != 0 from LAPACK is an error, never a silent fallback
         def failing(*args):
@@ -283,26 +300,8 @@ class TestEigensolverParity:
         monkeypatch.setattr(matrix, "_dsyevr", lambda: failing)
         with pytest.raises(NumericalDegeneracyError, match="info=3"):
             leading_singular_triple(RANK_ONE)
-
-
-def _gapped_matrix(n: int, p: int, seed: int, noise: float, exponent: int) -> np.ndarray:
-    """Rank-one growth signal plus noise, times 2**exponent; its top singular
-    value is kept apart from the second so that the direction is defined."""
-    rng = np.random.default_rng(seed)
-    y = np.outer(rng.uniform(0.5, 3.0, n), rng.normal(size=p)) + rng.uniform(0.0, 6.0, n)[:, None]
-    y = np.ldexp(y + noise * rng.normal(size=(n, p)), exponent)
-    s = np.linalg.svd(center_rows(y).values, compute_uv=False)
-    assume(s[1] <= 0.9 * s[0])
-    return y
-
-
-SHAPES = dict(
-    n=st.integers(2, 40),
-    p=st.integers(3, 40),
-    seed=st.integers(0, 2**32 - 1),
-    noise=st.sampled_from([0.0, 0.1, 1.0]),
-    exponent=st.sampled_from([0, 500, -500]),
-)
+        with pytest.raises(NumericalDegeneracyError, match="info=3"):
+            residual_spectrum(RANK_ONE, k=2)
 
 
 @settings(max_examples=120, deadline=None)
@@ -310,7 +309,7 @@ SHAPES = dict(
 def test_transpose_consistency(n, p, seed, noise, exponent):
     """The triple of X^T is (v, u) of the triple of X with the same lam; the
     two take the Gram matrix on opposite sides of the same data."""
-    x = center_rows(_gapped_matrix(n, p, seed, noise, exponent)).values
+    x = center_rows(gapped_matrix(n, p, seed, noise, exponent)).values
     t = leading_singular_triple(x)
     tt = leading_singular_triple(x.T)
     assert tt.lam == pytest.approx(t.lam, rel=1e-12)
@@ -324,7 +323,7 @@ def test_transpose_consistency(n, p, seed, noise, exponent):
 def test_column_permutation_invariance(n, p, seed, noise, exponent, perm_seed):
     """Permuting the columns permutes v and leaves theta_R, theta_L and the
     range of the spectral estimator where they were."""
-    y = _gapped_matrix(n, p, seed, noise, exponent)
+    y = gapped_matrix(n, p, seed, noise, exponent)
     perm = np.random.default_rng(perm_seed).permutation(p)
     base = spectral_extremes(y)
     other = spectral_extremes(y[:, perm])
@@ -399,8 +398,13 @@ class TestResidualSpectrum:
         assert resid == pytest.approx(lams[1:5].sum(), rel=1e-8)
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(ZeroMatrixError):
-            residual_spectrum(np.zeros((3, 4)), k=2)
+        # both callers of _short_gram give the same message, on either side
+        message = "^matrix has zero Frobenius norm; no direction defined$"
+        for x in (np.zeros((3, 4)), np.full((4, 3), -0.0)):
+            with pytest.raises(ZeroMatrixError, match=message):
+                residual_spectrum(x, k=2)
+            with pytest.raises(ZeroMatrixError, match=message):
+                leading_singular_triple(x)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
