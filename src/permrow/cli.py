@@ -95,6 +95,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if max(abs(args.n), abs(args.p)) > sys.float_info.max:
+        raise ValueError("--n and --p must be integers that a float can represent")
     beta_l = args.beta_l if args.beta_l is not None else args.beta_r
     idx = SignalIndices(t=args.t, beta_r=args.beta_r, beta_l=beta_l, sigma=args.sigma)
     out = {
@@ -147,8 +149,15 @@ def _print_json(doc: dict) -> None:
     print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one line; the subparsers are of this class."""
+
+    def error(self, message):
+        self.exit(2, f"permrow: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permrow",
         description="Extreme-column and log peak-to-trough ratio estimation "
         "for column-permuted monotone matrices.",

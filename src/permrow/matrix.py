@@ -1,10 +1,9 @@
 """Dense-matrix primitives.
 
-Row centering, ranking/permutation machinery, and the leading singular
-triple of the centered matrix and a residual-spectrum diagnostic for the
-approximate rank-one condition, which share one solve: the top k eigenpairs
-of the Gram matrix on the smaller side, from LAPACK dsyevr of the OpenBLAS
-that numpy links (``np.linalg.eigh`` where that is not found).
+Row centering, ranking/permutation machinery, the leading singular triple
+of the centered matrix, and the residual spectrum of a matrix.  The last two
+share one solve, the top k eigenpairs of the Gram matrix on the smaller side:
+LAPACK dsyevr of numpy's OpenBLAS, or ``np.linalg.eigh`` where that is not found.
 
 The public functions here are pure; none mutates its arguments.
 """
@@ -298,8 +297,9 @@ def residual_spectrum(x, k: int) -> tuple[float, float]:
     """Top singular value and the sum of singular values 2..k.
 
     Read off the top k eigenvalues of the Gram matrix on the smaller side,
-    solved as in ``leading_singular_triple``.  The residual sum feeds the
-    approximate rank-one diagnostic sum_{i>=2} lam_i <= sigma sqrt(log p).
+    solved as in ``leading_singular_triple``.  The paper's rank-one condition
+    sum_{i>=2} lam_i <= sigma sqrt(log p) holds for the noiseless signal Theta:
+    an observed matrix's noise alone gives a sum near n sigma sqrt(p) (k = n <= p).
     Eigenvalues driven negative by roundoff are clamped to zero.
     """
     values = _unwrap(x)

@@ -4,12 +4,11 @@ Reproducibility contract: every replicate r of a run derives its own seed as
 ``trial_seed(master_seed, r)`` (a splitmix64 mix, pinned below) and draws all
 randomness from a counter-based Philox stream keyed by that seed.  Within a
 replicate the draw order is fixed: slopes, then intercepts, then the
-permutation (if random), then the noise matrix.  A replicate builds Y
-directly in observed column order, and its truth only at the two end
-columns; Y and the truth are byte for byte those of ``generate_s1`` or
-``generate_s2`` (or the CustomLinear signal) composed with
-``synthesize_observation`` on the same stream, since every entry comes from
-the same float operations.
+permutation (if random), then the noise matrix.  A replicate takes its signal
+(a, eta, b) from ``generate_s1`` or ``generate_s2`` (or the CustomLinear
+spec), and ``synthesize_observation`` builds Y directly in observed column
+order: eta is permuted once, never an n x p signal.  The truth is built only
+at the two end columns.
 
 ``run_monte_carlo`` gives each of its worker threads two C-ordered float64
 (n, p) buffers, allocated at the thread's first replicate and dropped when
@@ -97,14 +96,13 @@ class PermutationKind(Enum):
 
 @dataclass(frozen=True)
 class LinearGrowthSignal:
-    """Rank-one linear growth signal theta_ij = a_i * eta_j + b_i."""
+    """Linear growth signal theta_ij = a_i * eta_j + b_i, or
+    log(1 + a_i * eta_j + b_i) with ``log`` (the S2 regime)."""
 
     a: np.ndarray
     eta: np.ndarray
     b: np.ndarray
-
-    def theta(self) -> np.ndarray:
-        return _growth_signal(self.a, self.eta, self.b, log=False)
+    log: bool = False
 
 
 def _growth_signal(
@@ -121,11 +119,9 @@ def _growth_signal(
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Unpermuted signal matrix with its extreme columns, range, and the
-    permutation that was applied to produce the observation.  A Monte Carlo
-    replicate builds only the extremes and the range; its ``theta`` is None."""
+    """Extreme columns and range of the unpermuted signal, and the
+    permutation that was applied to produce the observation."""
 
-    theta: np.ndarray | None
     theta_r: np.ndarray
     theta_l: np.ndarray
     range: np.ndarray
@@ -228,21 +224,11 @@ class ScenarioSpec:
         return cls(**fields)
 
 
-def _truth_from_theta(theta: np.ndarray) -> GroundTruth:
-    return GroundTruth(
-        theta=theta,
-        theta_r=theta[:, -1].copy(),
-        theta_l=theta[:, 0].copy(),
-        range=theta[:, -1] - theta[:, 0],
-        pi=None,
-    )
-
-
 def _draw_signal(
     kind: ScenarioKind, n: int, p: int, alpha: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, eta, b) of S1 or S2: slopes a_i ~ U(0, alpha) and then intercepts
-    b_i ~ U(0, 6) from ``rng``; eta = (-1, 0, ..., 0, 1) for S1, 1..p for S2."""
+) -> LinearGrowthSignal:
+    """S1 or S2: slopes a_i ~ U(0, alpha) and then intercepts b_i ~ U(0, 6)
+    from ``rng``; eta = (-1, 0, ..., 0, 1) for S1, 1..p for S2."""
     if p < 3:
         raise ValueError(f"{kind.value} requires p >= 3")
     a = rng.uniform(0.0, alpha, n)
@@ -253,57 +239,42 @@ def _draw_signal(
         eta[-1] = 1.0
     else:
         eta = np.arange(1, p + 1, dtype=float)
-    return a, eta, b
+    return LinearGrowthSignal(a=a, eta=eta, b=b, log=kind is ScenarioKind.S2)
 
 
-def generate_s1(
-    n: int, p: int, alpha: float, rng: np.random.Generator
-) -> tuple[LinearGrowthSignal, GroundTruth]:
+def generate_s1(n: int, p: int, alpha: float, rng: np.random.Generator) -> LinearGrowthSignal:
     """S1 regime: a_i ~ U(0, alpha), b_i ~ U(0, 6), eta = (-1, 0, ..., 0, 1)."""
-    a, eta, b = _draw_signal(ScenarioKind.S1, n, p, alpha, rng)
-    signal = LinearGrowthSignal(a=a, eta=eta, b=b)
-    return signal, _truth_from_theta(signal.theta())
+    return _draw_signal(ScenarioKind.S1, n, p, alpha, rng)
 
 
-def generate_s2(
-    n: int, p: int, alpha: float, rng: np.random.Generator
-) -> tuple[np.ndarray, GroundTruth]:
+def generate_s2(n: int, p: int, alpha: float, rng: np.random.Generator) -> LinearGrowthSignal:
     """S2 regime: theta_ij = log(1 + a_i * j + b_i), j = 1..p; not rank-one."""
-    a, j, b = _draw_signal(ScenarioKind.S2, n, p, alpha, rng)
-    theta = _growth_signal(a, j, b, log=True)
-    return theta, _truth_from_theta(theta)
-
-
-def _add_noise(
-    y: np.ndarray, sigma: float, rng: np.random.Generator, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """y += sigma * N(0, 1) noise, in place, with the noise drawn into
-    ``scratch`` (an array of y's shape) or else a new array; nothing is drawn
-    when sigma == 0."""
-    if sigma > 0:
-        z = rng.standard_normal(y.shape, out=scratch)
-        z *= sigma
-        y += z
-    return y
+    return _draw_signal(ScenarioKind.S2, n, p, alpha, rng)
 
 
 def synthesize_observation(
-    theta, sigma: float, pi, rng: np.random.Generator
+    signal: LinearGrowthSignal,
+    sigma: float,
+    pi,
+    rng: np.random.Generator,
+    buffers: _Buffers | None = None,
 ) -> np.ndarray:
-    """Y with column j equal to theta column pi^{-1}(j) plus sigma * N(0, 1) noise.
+    """Y with column j equal to signal column pi^{-1}(j) plus sigma * N(0, 1) noise.
 
-    ``pi`` is a 0-based array mapping original positions to observed
-    positions; ``None`` means identity.  No noise is drawn when sigma == 0.
+    ``pi`` maps original to observed positions (0-based; ``None`` is the
+    identity).  Y is built in ``buffers[0]`` and the noise drawn into
+    ``buffers[1]`` when they are given, else in new arrays; sigma == 0 draws none.
     """
-    theta = np.asarray(theta, dtype=float)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if pi is None:
-        y = theta.copy()
-    else:
-        # C order, as the replicate builds Y: the Gram product rounds by layout
-        y = np.take(theta, np.argsort(np.asarray(pi, dtype=np.int64)), axis=1)
-    return _add_noise(y, sigma, rng)
+    eta = signal.eta if pi is None else signal.eta[np.argsort(pi)]
+    y_out, noise_out = (None, None) if buffers is None else buffers
+    y = _growth_signal(signal.a, eta, signal.b, signal.log, out=y_out)
+    if sigma > 0:
+        z = rng.standard_normal(y.shape, out=noise_out)
+        z *= sigma
+        y += z
+    return y
 
 
 def _rms(d: np.ndarray) -> float:
@@ -399,31 +370,23 @@ class RiskReport:
 def _generate_replicate(
     spec: ScenarioSpec, rng: np.random.Generator, buffers: _Buffers | None = None
 ) -> tuple[np.ndarray, GroundTruth]:
-    """(Y, truth) of one replicate, with Y built directly in observed column
-    order: eta is permuted once, not the n x p signal.  Y is written into
-    ``buffers[0]`` and the noise drawn into ``buffers[1]`` when they are
-    given; otherwise both are new arrays."""
+    """(Y, truth) of one replicate; Y is built in ``buffers[0]`` and the
+    noise drawn into ``buffers[1]`` when they are given.  The generators are
+    looked up as module globals at each call, so a re-binding takes effect."""
     if spec.kind is ScenarioKind.CUSTOM_LINEAR:
-        a, eta, b = (np.asarray(x, dtype=float) for x in (spec.a, spec.eta, spec.b))
+        signal = LinearGrowthSignal(*(np.array(x, float) for x in (spec.a, spec.eta, spec.b)))
     else:
-        a, eta, b = _draw_signal(spec.kind, spec.n, spec.p, spec.alpha, rng)
-    log = spec.kind is ScenarioKind.S2
-
+        generate = generate_s1 if spec.kind is ScenarioKind.S1 else generate_s2
+        signal = generate(spec.n, spec.p, spec.alpha, rng)
     if spec.permutation is PermutationKind.IDENTITY:
         pi = None
     elif spec.permutation is PermutationKind.UNIFORM_RANDOM:
         pi = rng.permutation(spec.p)
     else:
         pi = np.asarray(spec.given_permutation, dtype=np.int64)
-    eta_observed = eta if pi is None else eta[np.argsort(pi)]
-    y_out, noise_out = (None, None) if buffers is None else buffers
-    y = _growth_signal(a, eta_observed, b, log, out=y_out)
-    _add_noise(y, spec.sigma, rng, scratch=noise_out)
-    theta_l, theta_r = _growth_signal(a, eta[[0, -1]], b, log).T.copy()
-    truth = GroundTruth(
-        theta=None, theta_r=theta_r, theta_l=theta_l, range=theta_r - theta_l, pi=pi
-    )
-    return y, truth
+    y = synthesize_observation(signal, spec.sigma, pi, rng, buffers)
+    theta_l, theta_r = _growth_signal(signal.a, signal.eta[[0, -1]], signal.b, signal.log).T.copy()
+    return y, GroundTruth(theta_r=theta_r, theta_l=theta_l, range=theta_r - theta_l, pi=pi)
 
 
 @functools.cache

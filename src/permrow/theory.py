@@ -90,7 +90,7 @@ def minimax_rate_extreme(
     if regime is SnrRegime.WEAK:
         shrink = 1.0
     elif regime is SnrRegime.INTERMEDIATE:
-        shrink = s2 * math.sqrt(p * n) / t2
+        shrink = s2 * math.sqrt(float(p) * n) / t2
     else:
         shrink = idx.sigma * math.sqrt(n) / idx.t
     return beta * idx.t / math.sqrt(n) * shrink + tail
@@ -101,7 +101,7 @@ def classify_snr(t: float, sigma: float, n: int, p: int) -> SnrRegime:
     and sigma^2 p.  Exact boundaries belong to the lower regime."""
     _check_t_sigma(t, sigma)
     t2 = t * t
-    if t2 <= sigma * sigma * math.sqrt(n * p):
+    if t2 <= sigma * sigma * math.sqrt(float(n) * p):
         return SnrRegime.WEAK
     if t2 <= sigma * sigma * p:
         return SnrRegime.INTERMEDIATE

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: centering via an
 explicit projection-matrix product, eigendecomposition via hand-rolled
 cyclic Jacobi rotations, ranking via lexicographic sorting, least squares
-via exact rational normal equations, and coverage CSV parsing via one
-``float()`` call per cell.
+via exact rational normal equations, coverage CSV parsing via one
+``float()`` call per cell, and a Monte Carlo replicate via the whole n x p
+signal matrix, whose columns are then permuted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from permrow import CoverageTable, DimensionMismatch, DuplicateSampleId, ParseError
+from permrow import (
+    CoverageTable,
+    DimensionMismatch,
+    DuplicateSampleId,
+    LinearGrowthSignal,
+    ParseError,
+    PermutationKind,
+    ScenarioKind,
+)
 
 
 def centering_oracle(y: np.ndarray) -> np.ndarray:
@@ -122,3 +131,37 @@ def load_coverage_csv_per_cell(path) -> CoverageTable:
     if len(rows) < 2:
         raise DimensionMismatch("need at least 2 sample rows")
     return CoverageTable(sample_ids=tuple(ids), values=np.array(rows, dtype=float))
+
+
+def signal_matrix(signal) -> np.ndarray:
+    """The whole n x p matrix of a ``LinearGrowthSignal``, in original
+    column order: a_i eta_j + b_i, or its log1p for a ``log`` signal."""
+    theta = signal.a[:, None] * signal.eta[None, :] + signal.b[:, None]
+    return np.log1p(theta) if signal.log else theta
+
+
+def composed_replicate(spec, rng):
+    """A Monte Carlo replicate's (Y, (theta_r, theta_l, range), pi), drawn
+    from ``rng`` in the replicate's order (slopes, intercepts, permutation,
+    noise) and built through the whole n x p signal: its columns are
+    permuted with ``np.take`` and the scaled noise is added to a new array.
+    """
+    n, p = spec.n, spec.p
+    log = spec.kind is ScenarioKind.S2
+    if spec.kind is ScenarioKind.CUSTOM_LINEAR:
+        a, eta, b = (np.array(x, dtype=float) for x in (spec.a, spec.eta, spec.b))
+    else:
+        a = rng.uniform(0.0, spec.alpha, n)
+        b = rng.uniform(0.0, 6.0, n)
+        eta = np.arange(1.0, p + 1) if log else np.concatenate([[-1.0], np.zeros(p - 2), [1.0]])
+    theta = signal_matrix(LinearGrowthSignal(a, eta, b, log))
+    if spec.permutation is PermutationKind.IDENTITY:
+        pi = None
+    elif spec.permutation is PermutationKind.UNIFORM_RANDOM:
+        pi = rng.permutation(p)
+    else:
+        pi = np.array(spec.given_permutation)
+    y = theta if pi is None else np.take(theta, np.argsort(pi), axis=1)
+    if spec.sigma > 0:
+        y = y + spec.sigma * rng.standard_normal((n, p))
+    return y, (theta[:, -1], theta[:, 0], theta[:, -1] - theta[:, 0]), pi

@@ -741,6 +741,57 @@ class TestCliRates:
         assert doc["rateRange"] > doc["rate"]
 
 
+    @pytest.mark.parametrize(
+        "n, p, code",
+        [(10**400, 10, 2), (10, 10**400, 2), (10**200, 10**200, 0)],
+        ids=["n-1e400", "p-1e400", "n-p-1e200"],
+    )
+    def test_huge_integer_flags(self, run_cli, n, p, code):
+        """An integer past the float range exits 2 with one line; n and p
+        that a float holds but whose product it does not still give JSON."""
+        proc = run_cli("rates", "--t", "5", "--beta-r", "0.5", "--sigma", "1",
+                       "--n", n, "--p", p)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "permrow: error: --n and --p must be integers that a float can represent\n"
+            )
+        else:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout, parse_constant=pytest.fail)["regime"] == "weak"
+
+
+RATES_ARGS = ["--t", "5", "--beta-r", "0.5", "--sigma", "1", "--n", "10", "--p", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rates", *RATES_ARGS[:-4], "--n", "x", "--p", "100"],
+         "argument --n: invalid int value: 'x'"),
+        (["rates", *RATES_ARGS[:-2]], "the following arguments are required: --p"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["simulate", "--reps", "1"], "the following arguments are required:"),
+        (["rates", *RATES_ARGS, "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["bad-value", "missing-flag", "unknown-subcommand", "missing-flags", "unknown-flag"],
+)
+def test_usage_error_one_line_exit_2(run_cli, argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"permrow: error: {message}")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rates", "--help"]])
+def test_help_prints_usage_exit_0(run_cli, argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith(f"usage: permrow {'rates ' if argv[0] == 'rates' else ''}[-h]")
+
+
 class TestCliCompare:
     GROUPED = (
         "sampleId,group,value\n"

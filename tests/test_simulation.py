@@ -1,5 +1,7 @@
 import collections
+import importlib
 import json
+import os
 import sys
 import threading
 import warnings
@@ -33,6 +35,8 @@ from permrow import (
 from permrow import simulation
 from permrow.matrix import center_rows
 
+from oracles import composed_replicate, signal_matrix
+
 BLAS = simulation._openblas_thread_calls()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
 
@@ -54,37 +58,42 @@ class TestSeeding:
 
 class TestGenerators:
     def test_s1_structure(self):
-        signal, truth = generate_s1(4, 7, 3.0, rng_stream(1))
-        theta = truth.theta
+        signal = generate_s1(4, 7, 3.0, rng_stream(1))
+        assert not signal.log
+        np.testing.assert_array_equal(signal.eta, [-1.0, 0, 0, 0, 0, 0, 1.0])
+        theta = signal_matrix(signal)
         np.testing.assert_allclose(theta[:, 0], signal.b - signal.a)
         np.testing.assert_allclose(theta[:, -1], signal.b + signal.a)
         for j in range(1, 6):
             np.testing.assert_allclose(theta[:, j], signal.b)
-        np.testing.assert_allclose(truth.range, 2 * signal.a)
+        np.testing.assert_allclose(theta[:, -1] - theta[:, 0], 2 * signal.a)
         assert np.all((signal.a >= 0) & (signal.a <= 3.0))
         assert np.all((signal.b >= 0) & (signal.b <= 6.0))
 
     def test_s1_alpha_to_zero_degenerates(self):
-        signal, truth = generate_s1(3, 5, 1e-12, rng_stream(2))
-        assert np.abs(truth.range).max() <= 2e-12
+        theta = signal_matrix(generate_s1(3, 5, 1e-12, rng_stream(2)))
+        assert np.abs(theta[:, -1] - theta[:, 0]).max() <= 2e-12
 
-    def test_s1_deterministic(self):
-        _, t1 = generate_s1(3, 5, 2.0, rng_stream(trial_seed(9, 0)))
-        _, t2 = generate_s1(3, 5, 2.0, rng_stream(trial_seed(9, 0)))
-        np.testing.assert_array_equal(t1.theta, t2.theta)
+    @pytest.mark.parametrize("generate", [generate_s1, generate_s2])
+    def test_deterministic(self, generate):
+        s1 = generate(3, 5, 2.0, rng_stream(trial_seed(9, 0)))
+        s2 = generate(3, 5, 2.0, rng_stream(trial_seed(9, 0)))
+        for field in ("a", "eta", "b"):
+            assert getattr(s1, field).tobytes() == getattr(s2, field).tobytes()
 
     def test_s2_direct_formula(self):
         # a=1, b=0 would give row (log2, log3, log4) with range log2
-        theta, truth = generate_s2(2, 3, 1.0, rng_stream(3))
-        a = None
+        signal = generate_s2(2, 3, 1.0, rng_stream(3))
+        assert signal.log
         # reproduce the draws to check the formula entrywise
         rng = rng_stream(3)
         a = rng.uniform(0, 1.0, 2)
         b = rng.uniform(0, 6.0, 2)
         expected = np.log1p(a[:, None] * np.arange(1, 4)[None, :] + b[:, None])
+        theta = signal_matrix(signal)
         np.testing.assert_allclose(theta, expected)
         np.testing.assert_allclose(
-            truth.range, np.log1p(3 * a + b) - np.log1p(a + b), atol=1e-12
+            theta[:, -1] - theta[:, 0], np.log1p(3 * a + b) - np.log1p(a + b), atol=1e-12
         )
 
     def test_s2_exact_values(self):
@@ -93,64 +102,57 @@ class TestGenerators:
 
     def test_s2_rows_nondecreasing(self):
         for seed in range(100):
-            theta, _ = generate_s2(5, 20, 3.0, rng_stream(seed))
+            theta = signal_matrix(generate_s2(5, 20, 3.0, rng_stream(seed)))
             assert np.all(np.diff(theta, axis=1) >= 0)
 
     def test_s1_rows_monotone(self):
         for seed in range(50):
-            _, truth = generate_s1(5, 12, 3.0, rng_stream(seed))
-            assert np.all(np.diff(truth.theta, axis=1) >= 0)
+            theta = signal_matrix(generate_s1(5, 12, 3.0, rng_stream(seed)))
+            assert np.all(np.diff(theta, axis=1) >= 0)
 
 
 class TestSynthesize:
-    def test_noiseless_identity(self):
-        theta = np.arange(12.0).reshape(3, 4)
-        y = synthesize_observation(theta, 0.0, None, rng_stream(0))
-        np.testing.assert_array_equal(y, theta)
+    @pytest.mark.parametrize("log", [False, True])
+    def test_noiseless_identity(self, log):
+        rng = np.random.default_rng(2)
+        signal = LinearGrowthSignal(
+            a=rng.uniform(0, 3, 3), eta=np.sort(rng.uniform(-1, 5, 4)), b=rng.uniform(3, 6, 3), log=log
+        )
+        drawn = rng_stream(0)
+        y = synthesize_observation(signal, 0.0, None, drawn)
+        assert y.tobytes() == signal_matrix(signal).tobytes()
+        assert drawn.bytes(16) == rng_stream(0).bytes(16)  # sigma == 0 draws nothing
 
     def test_permutation_roundtrip(self):
-        theta = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        signal = LinearGrowthSignal(
+            a=np.array([1.0, 1.0]), eta=np.array([1.0, 2.0, 3.0]), b=np.array([0.0, 3.0])
+        )
         pi = np.array([2, 0, 1])
-        y = synthesize_observation(theta, 0.0, pi, rng_stream(0))
+        y = synthesize_observation(signal, 0.0, pi, rng_stream(0))
         # column pi(j) of y is column j of theta
-        np.testing.assert_array_equal(y[:, pi], theta)
+        np.testing.assert_array_equal(y[:, pi], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_noise_moments(self):
-        theta = np.zeros((100, 100))
-        y = synthesize_observation(theta, 1.0, None, rng_stream(11))
+        signal = LinearGrowthSignal(a=np.zeros(100), eta=np.zeros(100), b=np.zeros(100))
+        y = synthesize_observation(signal, 1.0, None, rng_stream(11))
         assert abs(y.mean()) <= 3e-2
         assert abs(y.var() - 1.0) <= 0.05
+
+    def test_negative_sigma_rejected(self):
+        signal = generate_s1(3, 5, 1.0, rng_stream(0))
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            synthesize_observation(signal, -1.0, None, rng_stream(0))
 
     def test_permuted_output_is_c_ordered(self):
         """The Gram product rounds by memory layout, so a Fortran-ordered Y
         would give other last digits than the same values in C order."""
         rng = np.random.default_rng(17)
-        theta = generate_s1(30, 200, 3.0, rng_stream(4))[1].theta
-        y = synthesize_observation(theta, 1.0, rng.permutation(200), rng_stream(5))
+        signal = generate_s1(30, 200, 3.0, rng_stream(4))
+        y = synthesize_observation(signal, 1.0, rng.permutation(200), rng_stream(5))
         assert y.flags.c_contiguous
         got, want = spectral_extremes(y), spectral_extremes(y.copy(order="C"))
         for field in ("theta_r", "theta_l", "range"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-
-
-def _composed_replicate(spec: ScenarioSpec, rng):
-    """A replicate's (Y, truth) from the public generators and
-    synthesize_observation, in the replicate's draw order."""
-    if spec.kind is ScenarioKind.S1:
-        theta = generate_s1(spec.n, spec.p, spec.alpha, rng)[1].theta
-    elif spec.kind is ScenarioKind.S2:
-        theta = generate_s2(spec.n, spec.p, spec.alpha, rng)[1].theta
-    else:
-        signal = LinearGrowthSignal(a=np.array(spec.a), eta=np.array(spec.eta), b=np.array(spec.b))
-        theta = signal.theta()
-    if spec.permutation is PermutationKind.IDENTITY:
-        pi = None
-    elif spec.permutation is PermutationKind.UNIFORM_RANDOM:
-        pi = rng.permutation(spec.p)
-    else:
-        pi = np.array(spec.given_permutation)
-    y = synthesize_observation(theta, spec.sigma, pi, rng)
-    return y, (theta[:, -1], theta[:, 0], theta[:, -1] - theta[:, 0]), pi
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
@@ -158,7 +160,7 @@ def _composed_replicate(spec: ScenarioSpec, rng):
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_replicate_matches_public_composition(kind, permutation, sigma):
     """The replicate builds Y in observed column order and the truth at the
-    end columns only; both keep the bytes of the public functions."""
+    end columns only; both keep the bytes of the whole-signal reference."""
     n, p = 9, 37
     rng = np.random.default_rng(5)
     spec = ScenarioSpec(
@@ -174,7 +176,7 @@ def test_replicate_matches_public_composition(kind, permutation, sigma):
             rng_stream(trial_seed(spec.seed, r)) for _ in range(3)
         )
         y, truth = simulation._generate_replicate(spec, built_rng)
-        y_ref, truth_ref, pi_ref = _composed_replicate(spec, composed_rng)
+        y_ref, truth_ref, pi_ref = composed_replicate(spec, composed_rng)
         assert y.tobytes() == y_ref.tobytes()
         for got, want in zip((truth.theta_r, truth.theta_l, truth.range), truth_ref):
             assert got.tobytes() == want.tobytes()
@@ -222,9 +224,34 @@ def test_replicate_centres_into_second_buffer(monkeypatch):
 def test_replicate_matches_public_composition_at_grid_size(kind):
     spec = ScenarioSpec(kind=kind, n=150, p=1000, alpha=3.0, sigma=1.0, seed=7)
     y, truth = simulation._generate_replicate(spec, rng_stream(11))
-    y_ref, truth_ref, _ = _composed_replicate(spec, rng_stream(11))
+    y_ref, truth_ref, _ = composed_replicate(spec, rng_stream(11))
     assert y.tobytes() == y_ref.tobytes()
     assert truth.range.tobytes() == truth_ref[2].tobytes()
+
+
+def test_perfbench_tracer_spans_every_replicate(monkeypatch):
+    """perfbench/tracing.py re-binds module attributes, so each of its
+    targets must exist, and a replicate must call the generator and
+    ``synthesize_observation`` through the names it re-binds."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    tracing = importlib.import_module("tracing")
+    for module, attr, _ in tracing.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    originals = (simulation.generate_s1, simulation.generate_s2, simulation.synthesize_observation)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for kind in (ScenarioKind.S1, ScenarioKind.S2):
+            spec = ScenarioSpec(kind=kind, n=4, p=12, alpha=3.0, sigma=1.0, seed=5)
+            run_monte_carlo(spec, reps=3, threads=2)
+    finally:
+        tracer.uninstall()
+    assert (simulation.generate_s1, simulation.generate_s2,
+            simulation.synthesize_observation) == originals
+    spans = collections.Counter(span[1] for span in tracer.spans)
+    assert spans["simulation.generate"] == 6
+    assert spans["simulation.noise"] == 6
 
 
 ALL_ESTIMATORS = ("spectral", "regression", "ds", "os", "irep")
@@ -245,7 +272,7 @@ def _reference_monte_carlo(spec: ScenarioSpec, reps: int):
     ``ALL_PAIRS``; a replicate that raises a package error is a NaN row."""
     rows, failures = [], []
     for r in range(reps):
-        y, truth, _ = _composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
+        y, truth, _ = composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
         row = []
         try:
             with np.errstate(all="ignore"):
