@@ -95,8 +95,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    if max(abs(args.n), abs(args.p)) > sys.float_info.max:
-        raise ValueError("--n and --p must be integers that a float can represent")
     beta_l = args.beta_l if args.beta_l is not None else args.beta_r
     idx = SignalIndices(t=args.t, beta_r=args.beta_r, beta_l=beta_l, sigma=args.sigma)
     out = {

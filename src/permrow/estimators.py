@@ -48,11 +48,19 @@ class ExtremeEstimates:
     theta_r: np.ndarray | None
     theta_l: np.ndarray | None
     range: np.ndarray
-    v_max: float | None
-    v_min: float | None
     permutation_hat: Ranking | None
     method: EstimatorMethod
     triple: SingularTriple | None
+
+    @property
+    def v_max(self) -> float | None:
+        """The largest score, v_(p); None without a triple."""
+        return None if self.triple is None else float(self.triple.v.max())
+
+    @property
+    def v_min(self) -> float | None:
+        """The smallest score, v_(1); None without a triple."""
+        return None if self.triple is None else float(self.triple.v.min())
 
 
 @dataclass(frozen=True)
@@ -79,16 +87,12 @@ def _spectral_context(
 def _spectral_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     v = ctx.triple.v
     xv = ctx.triple.lam * ctx.triple.u
-    v_max = float(v.max())
-    v_min = float(v.min())
-    theta_r = v_max * xv + ctx.centered.row_means
-    theta_l = v_min * xv + ctx.centered.row_means
+    theta_r = float(v.max()) * xv + ctx.centered.row_means
+    theta_l = float(v.min()) * xv + ctx.centered.row_means
     return ExtremeEstimates(
         theta_r=theta_r,
         theta_l=theta_l,
         range=theta_r - theta_l,
-        v_max=v_max,
-        v_min=v_min,
         permutation_hat=ctx.ranking,
         method=EstimatorMethod.SPECTRAL,
         triple=ctx.triple,
@@ -107,16 +111,12 @@ def _regression_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     row_means = y_sorted.mean(axis=1)
     beta = (y_sorted - row_means[:, None]) @ centered_scores / denom
     alpha = row_means - beta * m
-    v_min = float(scores[0])
-    v_max = float(scores[-1])
-    theta_r = alpha + beta * v_max
-    theta_l = alpha + beta * v_min
+    theta_r = alpha + beta * float(scores[-1])
+    theta_l = alpha + beta * float(scores[0])
     return ExtremeEstimates(
         theta_r=theta_r,
         theta_l=theta_l,
         range=theta_r - theta_l,
-        v_max=v_max,
-        v_min=v_min,
         permutation_hat=ctx.ranking,
         method=EstimatorMethod.REGRESSION,
         triple=ctx.triple,
@@ -127,13 +127,10 @@ def _direct_sorting_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     order = ctx.ranking.order
     theta_r = ctx.y[:, order[-1]].copy()
     theta_l = ctx.y[:, order[0]].copy()
-    v = ctx.triple.v
     return ExtremeEstimates(
         theta_r=theta_r,
         theta_l=theta_l,
         range=theta_r - theta_l,
-        v_max=float(v.max()),
-        v_min=float(v.min()),
         permutation_hat=ctx.ranking,
         method=EstimatorMethod.DIRECT_SORTING,
         triple=ctx.triple,
@@ -176,8 +173,6 @@ def order_statistic_extremes(y) -> ExtremeEstimates:
         theta_r=theta_r,
         theta_l=theta_l,
         range=range_,
-        v_max=None,
-        v_min=None,
         permutation_hat=None,
         method=EstimatorMethod.ORDER_STATISTIC,
         triple=None,
@@ -218,8 +213,6 @@ def irep_extremes(y, trim_fraction: float = 0.05) -> ExtremeEstimates:
         theta_r=None,
         theta_l=None,
         range=irep_range(y, trim_fraction=trim_fraction),
-        v_max=None,
-        v_min=None,
         permutation_hat=None,
         method=EstimatorMethod.IREP,
         triple=None,

@@ -44,24 +44,33 @@ class CenteredMatrix:
 
 @dataclass(frozen=True)
 class SingularTriple:
-    """Leading singular value/vectors of a centered matrix.
+    """Leading singular value/vectors of a centered matrix, and what the solve measured.
 
-    ``u`` has length n, ``v`` has length p, both unit norm.  ``converged``
-    reports whether the singular-pair relation that the eigensolve does not
-    make exact (||Xv - lam*u|| or ||X^T u - lam*v||) is within
-    tol*(lam + 1), with tol = DEFAULT_TOL.  ``iterations`` is 1: the solve
-    is direct.  ``multiplicity_warning`` is set when the second singular
-    value is within tol*lam of the first, in which case the returned
-    direction is numerically ambiguous.
+    ``u`` has length n, ``v`` has length p, both unit norm.  ``lam2`` is the
+    second singular value (0 for a one-row matrix).  ``residual`` is the
+    norm of the singular-pair relation that the eigensolve does not make
+    exact: ||Xv - lam*u|| when n <= p, ||X^T u - lam*v|| when p < n.
     """
 
     lam: float
     u: np.ndarray
     v: np.ndarray
-    convention: SignConvention
-    iterations: int
-    converged: bool
-    multiplicity_warning: bool = False
+    lam2: float
+    residual: float
+
+    @property
+    def iterations(self) -> int:
+        return 1  # the solve is direct
+
+    @property
+    def converged(self) -> bool:
+        """Whether ``residual`` is within tol*(lam + 1), tol = DEFAULT_TOL."""
+        return self.residual <= DEFAULT_TOL * (self.lam + 1.0)
+
+    @property
+    def multiplicity_warning(self) -> bool:
+        """Whether ``lam2`` is within tol*lam of ``lam``: the direction is then ambiguous."""
+        return (self.lam - self.lam2) <= DEFAULT_TOL * self.lam
 
 
 @dataclass(frozen=True)
@@ -186,12 +195,16 @@ def _dsyevr():
     )
 
 
-def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _top_eigenpairs(
+    gram: np.ndarray, k: int, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """(mus, s): the k largest eigenvalues of the symmetric ``gram``, in
-    descending order, and the eigenvector of the largest.  Overwrites ``gram``.
+    descending order, and the eigenvector of the largest (None without
+    ``vectors``).  Overwrites ``gram``.
 
-    One dsyevr call asks for eigenpairs n-k+1..n alone; it releases the
-    GIL, so pool threads solve at the same time.  A failed call raises
+    One dsyevr call asks for eigenpairs n-k+1..n alone, or for their
+    eigenvalues alone without ``vectors``; it releases the GIL, so pool
+    threads solve at the same time.  A failed call raises
     NumericalDegeneracyError.  Where dsyevr is not found, or n < k,
     ``np.linalg.eigh`` solves for all n eigenpairs (mus has min(n, k)).
     """
@@ -201,25 +214,27 @@ def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = gram.shape[0]
     if dsyevr is None or n < k:  # n < k only for a hand-made one-row CenteredMatrix
         mus, vecs = np.linalg.eigh(gram)
-        return mus[::-1][:k], vecs[:, -1]
+        return mus[::-1][:k], vecs[:, -1] if vectors else None
     gram = np.require(gram, np.float64, ["C", "W"])  # no copy for a Gram product
     size, il, m, info = (ctypes.c_int64(i) for i in (n, n - k + 1, 0, 0))
     lwork, liwork = ctypes.c_int64(26 * n), ctypes.c_int64(10 * n)  # the documented minima
     zero = ctypes.c_double(0.0)  # VL and VU (unused), and ABSTOL (the default)
-    w, z = (ctypes.c_double * n)(), (ctypes.c_double * (k * n))()  # z: column-major n x k
+    w = (ctypes.c_double * n)()
+    z = (ctypes.c_double * (k * n if vectors else 1))()  # column-major n x k; JOBZ='N' reads none
     work, iwork = (ctypes.c_double * lwork.value)(), (ctypes.c_int64 * liwork.value)()
     isuppz = (ctypes.c_int64 * (2 * k))()
     ref = ctypes.byref
     dsyevr(
-        b"V", b"I", b"L", ref(size), gram.ctypes.data, ref(size), ref(zero), ref(zero),
-        ref(il), ref(size), ref(zero), ref(m), w, z, ref(size), isuppz,
+        b"V" if vectors else b"N", b"I", b"L", ref(size), gram.ctypes.data, ref(size),
+        ref(zero), ref(zero), ref(il), ref(size), ref(zero), ref(m), w, z, ref(size), isuppz,
         work, ref(lwork), iwork, ref(liwork), ref(info), 1, 1, 1,
     )
     if info.value != 0 or m.value != k:
         raise NumericalDegeneracyError(
             f"eigensolve failed: LAPACK dsyevr gave info={info.value} and {m.value} of {k} eigenpairs"
         )
-    return np.frombuffer(w, count=k)[::-1], np.frombuffer(z, offset=8 * n * (k - 1))
+    mus = np.frombuffer(w, count=k)[::-1]
+    return mus, np.frombuffer(z, offset=8 * n * (k - 1)) if vectors else None
 
 
 def _scale_back(lam: float, e: int) -> float:
@@ -242,7 +257,7 @@ def leading_singular_triple(
     power of two near its largest entry when that entry is far from 1.
     The top eigenvector gives u (or v); the other vector is X^T u / lam
     (or X v / lam) with lam = ||X^T u|| (or ||X v||).  The second
-    eigenvalue gives lam2 for the multiplicity check.  Raises
+    eigenvalue gives lam2.  Raises
     ZeroMatrixError when the matrix is identically zero, GramOverflow when
     the top singular value exceeds the float range, and
     NumericalDegeneracyError when the eigensolve fails.
@@ -257,26 +272,20 @@ def leading_singular_triple(
     lam = _scale_back(lam_b, e)
     t = bts / lam_b
     bt = b @ t
-    # b^T s = lam_b t holds by construction; b t = lam_b s is what the solve leaves inexact
-    residual = float(np.ldexp(np.linalg.norm(bt - lam_b * s), e))
-    converged = residual <= DEFAULT_TOL * (lam + 1.0)
     u, v, xv = (s, t, bt) if values.shape[0] <= values.shape[1] else (t, s, bts)
 
     total = float(xv.sum()) if convention is SignConvention.ROW_MAJORITY else 0.0
     flip = total < 0.0 if total != 0.0 else _first_nonzero_is_positive(v)
     if flip:
         u, v = -u, -v
-    # a one-row matrix has no second eigenvalue; roundoff can drive it below 0
-    lam2 = float(np.ldexp(np.sqrt(mus[1:].max(initial=0.0)), e))
-
     return SingularTriple(
         lam=lam,
         u=u,
         v=v,
-        convention=convention,
-        iterations=1,
-        converged=converged,
-        multiplicity_warning=(lam - lam2) <= DEFAULT_TOL * lam,
+        # a one-row matrix has no second eigenvalue; roundoff can drive it below 0
+        lam2=float(np.ldexp(np.sqrt(mus[1:].max(initial=0.0)), e)),
+        # b^T s = lam_b t holds by construction; b t = lam_b s is what the solve leaves inexact
+        residual=float(np.ldexp(np.linalg.norm(bt - lam_b * s), e)),
     )
 
 
@@ -307,6 +316,6 @@ def residual_spectrum(x, k: int) -> tuple[float, float]:
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k must be in [1, min(n, p)] = [1, {min(n, p)}], got {k}")
     _, gram, e = _short_gram(values)
-    mus, _ = _top_eigenpairs(gram, k)
+    mus, _ = _top_eigenpairs(gram, k, vectors=False)
     lams = np.sqrt(np.clip(mus, 0.0, None))
     return _scale_back(lams[0], e), _scale_back(lams[1:].sum(), e)

@@ -160,19 +160,19 @@ class ScenarioSpec:
             raise InvalidScenario("alpha must be positive")
         if self.sigma < 0:
             raise InvalidScenario("sigma must be nonnegative")
-        if self.permutation is PermutationKind.GIVEN and self.given_permutation is None:
-            raise InvalidScenario("permutation 'Given' requires given_permutation")
-        if self.given_permutation is not None and sorted(self.given_permutation) != list(
-            range(self.p)
-        ):
+        # a vector that the run would not read is an error, not silently dropped
+        given = self.permutation is PermutationKind.GIVEN
+        if given != (self.given_permutation is not None):
+            raise InvalidScenario("given_permutation goes with, and only with, permutation 'Given'")
+        if given and sorted(self.given_permutation) != list(range(self.p)):
             raise InvalidScenario(f"given_permutation is not a permutation of 0..{self.p - 1}")
-        if self.kind is ScenarioKind.CUSTOM_LINEAR:
-            if self.a is None or self.eta is None or self.b is None:
-                raise InvalidScenario("CustomLinear requires explicit a, eta and b")
-            if (len(self.a), len(self.eta), len(self.b)) != (self.n, self.p, self.n):
-                raise LengthMismatch("CustomLinear a and b need length n, eta length p")
-            if not np.isfinite(np.concatenate([self.a, self.eta, self.b])).all():
-                raise NonFiniteInput("CustomLinear a, eta and b must be finite")
+        custom = self.kind is ScenarioKind.CUSTOM_LINEAR
+        if [x is not None for x in (self.a, self.eta, self.b)] != [custom] * 3:
+            raise InvalidScenario("a, eta and b go with, and only with, kind 'CustomLinear'")
+        if custom and (len(self.a), len(self.eta), len(self.b)) != (self.n, self.p, self.n):
+            raise LengthMismatch("CustomLinear a and b need length n, eta length p")
+        if custom and not np.isfinite(np.concatenate([self.a, self.eta, self.b])).all():
+            raise NonFiniteInput("CustomLinear a, eta and b must be finite")
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -318,10 +318,6 @@ class RiskReport:
     failures: tuple[tuple[int, str, str], ...] = ()
 
     @property
-    def master_seed(self) -> int:
-        return self.spec.seed
-
-    @property
     def failed_replicates(self) -> tuple[int, ...]:
         return tuple(r for r, _, _ in self.failures)
 
@@ -335,7 +331,7 @@ class RiskReport:
         return {
             "spec": self.spec.to_json_dict(),
             "reps": self.reps,
-            "masterSeed": self.master_seed,
+            "masterSeed": self.spec.seed,
             "estimators": list(self.estimators),
             "failedReplicates": list(self.failed_replicates),
             "summaries": [

@@ -8,6 +8,7 @@ bars.  Logarithms are natural throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,8 +51,16 @@ def _check_t_sigma(t: float, sigma: float) -> None:
         raise ValueError("sigma must be finite and positive")
 
 
+def _check_n_p(n, p) -> None:
+    """Raise ValueError unless n and p are finite and within the float range:
+    a larger integer would end in OverflowError where it meets a float."""
+    if not (abs(n) <= sys.float_info.max and abs(p) <= sys.float_info.max):
+        raise ValueError("n and p must be finite and within the float range")
+
+
 def rate_psi(n: int, p) -> float:
     """The rate function sqrt(ln p / n); ``p`` may be real-valued."""
+    _check_n_p(n, p)
     if n < 1:
         raise ValueError("n must be at least 1")
     p = float(p)
@@ -79,6 +88,7 @@ def minimax_rate_extreme(
         "left": idx.beta_l,
         "range": idx.beta_r + idx.beta_l,
     }[target]
+    _check_n_p(n, p)
     tail = idx.sigma * rate_psi(n, p)
     if beta == 0.0:
         return tail
@@ -100,6 +110,7 @@ def classify_snr(t: float, sigma: float, n: int, p: int) -> SnrRegime:
     """Weak / intermediate / strong SNR regime of t^2 against sigma^2 sqrt(np)
     and sigma^2 p.  Exact boundaries belong to the lower regime."""
     _check_t_sigma(t, sigma)
+    _check_n_p(n, p)
     t2 = t * t
     if t2 <= sigma * sigma * math.sqrt(float(n) * p):
         return SnrRegime.WEAK
@@ -140,6 +151,7 @@ def feasible_condition11(idx: SignalIndices, n: int, p: int) -> bool:
     beta = idx.beta_r
     if not 0.0 < beta < 1.0:
         raise ValueError("feasibility check requires beta_r strictly in (0, 1)")
+    _check_n_p(n, p)
     logp = math.log(p)
     psi = rate_psi(n, p)
     s2 = idx.sigma * idx.sigma

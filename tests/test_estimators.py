@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from permrow import (
     EstimatorMethod,
+    ExtremeEstimates,
     InsufficientColumns,
     NonFiniteEstimate,
     NonFiniteInput,
@@ -197,6 +199,40 @@ class TestIrep:
         assert est.method is EstimatorMethod.IREP
         assert (est.theta_r, est.theta_l, est.v_max, est.v_min) == (None,) * 4
         assert est.permutation_hat is None and est.triple is None
+
+
+class TestScoreExtremes:
+    """v_max and v_min are read off the triple, not stored beside it."""
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(ExtremeEstimates)]
+        assert names == ["theta_r", "theta_l", "range", "permutation_hat", "method", "triple"]
+
+    @pytest.mark.parametrize(
+        "estimator", [spectral_extremes, regression_extremes, direct_sorting_extremes]
+    )
+    def test_read_off_the_triple_and_kept_by_replace(self, estimator):
+        est = estimator(random_growth_observation(np.random.default_rng(59)))
+        v = est.triple.v
+        order = est.permutation_hat.order
+        assert (est.v_max, est.v_min) == (v[order[-1]], v[order[0]]) == (v.max(), v.min())
+        assert type(est.v_max) is float and type(est.v_min) is float
+        # the replace that ``estimate --exp`` makes keeps the triple, so the scores too
+        exp = dataclasses.replace(
+            est, theta_r=np.exp(est.theta_r), theta_l=np.exp(est.theta_l), range=np.exp(est.range)
+        )
+        assert (exp.v_max, exp.v_min) == (est.v_max, est.v_min)
+
+    @pytest.mark.parametrize(
+        "estimator", [order_statistic_extremes, lambda y: irep_extremes(y, trim_fraction=0.1)],
+        ids=["os", "irep"],
+    )
+    def test_none_without_a_triple(self, estimator):
+        est = estimator(random_growth_observation(np.random.default_rng(60)))
+        assert est.triple is None
+        assert (est.v_max, est.v_min) == (None, None)
+        exp = dataclasses.replace(est, range=np.exp(est.range))
+        assert (exp.v_max, exp.v_min) == (None, None)
 
 
 def _assume_stable_readout(y):

@@ -523,8 +523,11 @@ class TestCliSimulate:
             {"n": 5.7},
             {"p": "20"},
             {"seed": True},
+            {"a": [1.0] * 5, "eta": [0.0] * 20, "b": [0.0] * 5},
+            {"permutation": "Identity", "givenPermutation": list(range(20))},
         ],
-        ids=["unknown-key", "nan-alpha", "infinite-n", "fractional-n", "string-p", "bool-seed"],
+        ids=["unknown-key", "nan-alpha", "infinite-n", "fractional-n", "string-p", "bool-seed",
+             "unread-a-eta-b", "unread-given"],
     )
     def test_invalid_config_one_line_exit_2(self, tmp_path, capsys, extra):
         cfg = write(tmp_path / "cfg.json", json.dumps({**self.CONFIG, **extra}))
@@ -755,7 +758,7 @@ class TestCliRates:
         if code == 2:
             assert proc.stdout == ""
             assert proc.stderr == (
-                "permrow: error: --n and --p must be integers that a float can represent\n"
+                "permrow: error: n and p must be finite and within the float range\n"
             )
         else:
             assert proc.stderr == ""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from permrow import (
     NonFiniteInput,
     NumericalDegeneracyError,
     SignConvention,
+    SingularTriple,
     ZeroMatrixError,
     center_rows,
     leading_singular_triple,
@@ -277,7 +280,9 @@ class TestEigensolverParity:
         assert matrix._dsyevr() is not None
 
     @pytest.mark.parametrize(
-        "shape", [(12, 40), (40, 12), (150, 1000)], ids=["wide", "tall", "grid"]
+        "shape",
+        [(12, 40), (40, 12), (150, 1000), (500, 2000)],
+        ids=["wide", "tall", "grid", "large"],
     )
     @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500], ids=["1", "2^500", "2^-500"])
     @pytest.mark.parametrize("k", ["2", "min"])
@@ -302,6 +307,66 @@ class TestEigensolverParity:
             leading_singular_triple(RANK_ONE)
         with pytest.raises(NumericalDegeneracyError, match="info=3"):
             residual_spectrum(RANK_ONE, k=2)
+
+
+class TestTripleRecord:
+    """What the solve measured (lam2, residual) and the flags derived from it."""
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(SingularTriple)]
+        assert names == ["lam", "u", "v", "lam2", "residual"]
+
+    def test_flags_follow_the_measurements_at_their_boundaries(self):
+        u, v, tol = np.array([1.0]), np.array([0.6, 0.8]), matrix.DEFAULT_TOL
+        # at lam = 3, tol * (lam + 1) = 4 tol exactly: a residual there converges
+        edge = 4.0 * tol
+        for residual, converged in [(0.0, True), (edge, True), (np.nextafter(edge, 1.0), False)]:
+            t = SingularTriple(lam=3.0, u=u, v=v, lam2=0.0, residual=float(residual))
+            assert t.converged is converged
+        # at this lam, tol * lam is 2**-34 exactly, and so is lam - lam2 at the edge
+        lam = 2.0**-34 / tol
+        assert tol * lam == 2.0**-34
+        edge = lam - 2.0**-34
+        for lam2, warning in [(lam, True), (edge, True), (np.nextafter(edge, 0.0), False)]:
+            t = SingularTriple(lam=lam, u=u, v=v, lam2=float(lam2), residual=0.0)
+            assert t.multiplicity_warning is warning
+        assert t.iterations == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SHAPES)
+    def test_lam2_is_the_second_singular_value(self, n, p, seed, noise, exponent):
+        x = center_rows(gapped_matrix(n, p, seed, noise, exponent)).values
+        t = leading_singular_triple(x)
+        s = np.ldexp(np.linalg.svd(np.ldexp(x, -exponent), compute_uv=False), exponent)
+        # an eigenvalue of the Gram matrix is good to about eps * lam^2, so a
+        # small lam2 (noise 0 leaves only roundoff) is good to about sqrt(eps) * lam
+        assert t.lam2 == pytest.approx(s[1], rel=1e-9, abs=1e-6 * s[0])
+        assert t.lam == pytest.approx(s[0], rel=1e-12)
+        assert t.converged
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SHAPES, tilt_seed=st.integers(0, 2**32 - 1))
+    def test_residual_is_the_inexact_relation(self, n, p, seed, noise, exponent, tilt_seed):
+        """With the top eigenvector tilted away from the solve's, the triple's
+        residual is ||Xv - lam*u|| on the wide side and ||X^T u - lam*v|| on
+        the tall one, recomputed here from X, u, v and lam."""
+        x = center_rows(gapped_matrix(n, p, seed, noise, exponent)).values
+        solve = matrix._top_eigenpairs
+
+        def tilted(gram, k, vectors=True):
+            mus, s = solve(gram, k, vectors)
+            s = s + 1e-3 * np.random.default_rng(tilt_seed).normal(size=s.size)
+            return mus, s / np.linalg.norm(s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix, "_top_eigenpairs", tilted)
+            t = leading_singular_triple(x)
+        x0, lam0 = np.ldexp(x, -exponent), np.ldexp(t.lam, -exponent)  # exact
+        wide = np.linalg.norm(x0 @ t.v - lam0 * t.u)
+        tall = np.linalg.norm(x0.T @ t.u - lam0 * t.v)
+        inexact, exact = (wide, tall) if n <= p else (tall, wide)
+        assert t.residual == pytest.approx(np.ldexp(inexact, exponent), rel=1e-8)
+        assert exact <= 1e-12 * lam0
 
 
 @settings(max_examples=120, deadline=None)

@@ -165,7 +165,9 @@ def test_replicate_matches_public_composition(kind, permutation, sigma):
     rng = np.random.default_rng(5)
     spec = ScenarioSpec(
         kind=kind, n=n, p=p, alpha=3.0, sigma=sigma, permutation=permutation, seed=3,
-        given_permutation=tuple(rng.permutation(p).tolist()),
+        given_permutation=(
+            tuple(rng.permutation(p).tolist()) if permutation is PermutationKind.GIVEN else None
+        ),
         **(dict(a=tuple(rng.uniform(0, 3, n)), eta=tuple(rng.normal(size=p)),
                 b=tuple(rng.uniform(0, 6, n))) if kind is ScenarioKind.CUSTOM_LINEAR else {}),
     )
@@ -566,6 +568,21 @@ class TestScenarioValidation:
             given_permutation=tuple(reversed(range(50))),
         )
         assert ok.given_permutation[0] == 49
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"a": [1, 2, 3], "eta": [0, 1, 2, 3], "b": [0, 0, 0]},
+            {"kind": "S2", "a": [1, 2, 3]},
+            {"permutation": "Identity", "givenPermutation": [0, 1, 2, 3]},
+            {"permutation": "UniformRandom", "givenPermutation": [3, 2, 1, 0]},
+        ],
+        ids=["S1-a-eta-b", "S2-a", "Identity-given", "UniformRandom-given"],
+    )
+    def test_unread_vectors_rejected(self, extra):
+        # the run would silently ignore these, so the config is an error
+        with pytest.raises(InvalidScenario, match="with, and only with"):
+            ScenarioSpec.from_json_dict({"kind": "S1", "n": 3, "p": 4, **extra})
 
     def test_custom_linear_lengths_checked(self):
         with pytest.raises(LengthMismatch):

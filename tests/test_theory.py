@@ -161,3 +161,27 @@ class TestFeasibility:
         idx = SignalIndices(t=10.0, beta_r=1.0, beta_l=1.0, sigma=1.0)
         with pytest.raises(ValueError):
             feasible_condition11(idx, 50, 1000)
+
+
+IDX = SignalIndices(t=5.0, beta_r=0.5, beta_l=0.5, sigma=1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n, p: rate_psi(n, p),
+        lambda n, p: classify_snr(1.0, 1.0, n, p),
+        lambda n, p: minimax_rate_extreme(IDX, n, p),
+        lambda n, p: feasible_condition11(IDX, n, p),
+    ],
+    ids=["rate_psi", "classify_snr", "minimax_rate_extreme", "feasible_condition11"],
+)
+@pytest.mark.parametrize(
+    "n, p",
+    [(10**400, 10), (10, 10**400), (-(10**400), 10), (10, math.inf), (10, math.nan)],
+    ids=["n-1e400", "p-1e400", "n--1e400", "p-inf", "p-nan"],
+)
+def test_n_p_past_the_float_range_rejected(call, n, p):
+    # an integer past the float range used to end in a bare OverflowError
+    with pytest.raises(ValueError, match="^n and p must be finite and within the float range$"):
+        call(n, p)
