@@ -43,7 +43,6 @@ from .matrix import (
     residual_spectrum,
 )
 from .simulation import (
-    GroundTruth,
     LinearGrowthSignal,
     PermutationKind,
     RiskReport,

@@ -130,12 +130,14 @@ def _first_nonzero_is_positive(v: np.ndarray) -> bool:
     return False
 
 
-def _pow2_exponent(top: float) -> int:
-    """0 while ``top`` lies in [2**-100, 2**100] (or is 0, inf or NaN), else
-    e with 2**(e-1) <= top < 2**e: dividing by 2**e then brings values up
-    to ``top`` near 1, exactly, so that sums of their squares neither
-    overflow nor go subnormal."""
-    return 0 if 2.0**-100 <= top <= 2.0**100 else int(np.frexp(top)[1])
+def _pow2_scaled(x: np.ndarray, top: float) -> tuple[np.ndarray, int]:
+    """(x / 2**e, e) for values of ``x`` up to ``top`` in size: ``x`` itself
+    and e = 0 while ``top`` lies in [2**-100, 2**100] (or is 0, inf or NaN),
+    else e with 2**(e-1) <= top < 2**e.  Dividing by 2**e is exact and brings
+    the largest values near 1, so that sums of their squares neither overflow
+    nor go subnormal."""
+    e = 0 if 2.0**-100 <= top <= 2.0**100 else int(np.frexp(top)[1])
+    return (x, 0) if e == 0 else (np.ldexp(x, -e), e)
 
 
 def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -143,9 +145,9 @@ def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     than columns, divided by 2**e; singular values of the matrix are those
     of b times 2**e.
 
-    The Gram matrix is a new min(n, p) square array.  e is
-    ``_pow2_exponent(max |x|)``: 0 where the product is far from overflow
-    and from subnormals, else such that the largest Gram entries are near 1.
+    The Gram matrix is a new min(n, p) square array.  ``_pow2_scaled`` gives
+    e: 0 where the product is far from overflow and from subnormals, else
+    such that the largest Gram entries are near 1.
     Raises ZeroMatrixError when every entry is zero.
     """
     a = values if values.shape[0] <= values.shape[1] else values.T
@@ -154,10 +156,7 @@ def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         raise GramOverflow(_OVERFLOW)
     if top == 0.0:
         raise ZeroMatrixError("matrix has zero Frobenius norm; no direction defined")
-    e = _pow2_exponent(top)
-    if e == 0:
-        return a, a @ a.T, 0
-    b = np.ldexp(a, -e)
+    b, e = _pow2_scaled(a, top)
     return b, b @ b.T, e
 
 

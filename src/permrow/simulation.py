@@ -50,7 +50,7 @@ from .estimators import (
     irep_range,
     order_statistic_extremes,
 )
-from .matrix import _openblas_function, _pow2_exponent
+from .matrix import _openblas_function, _pow2_scaled
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,17 +115,6 @@ def _growth_signal(
     if log:
         np.log1p(theta, out=theta)
     return theta
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Extreme columns and range of the unpermuted signal, and the
-    permutation that was applied to produce the observation."""
-
-    theta_r: np.ndarray
-    theta_l: np.ndarray
-    range: np.ndarray
-    pi: np.ndarray | None = None
 
 
 def _json_int(value, name: str) -> int:
@@ -280,11 +269,9 @@ def synthesize_observation(
 def _rms(d: np.ndarray) -> float:
     """||d||_2 / sqrt(len(d)), on d divided by 2**e (exact) where max |d| is
     far enough from 1 that the sum of squares would overflow or go
-    subnormal; see ``matrix._pow2_exponent``."""
-    e = _pow2_exponent(float(np.abs(d).max(initial=0.0)))
-    if e == 0:
-        return float(np.linalg.norm(d) / np.sqrt(d.size))
-    return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)) / np.sqrt(d.size), e))
+    subnormal; see ``matrix._pow2_scaled``."""
+    scaled, e = _pow2_scaled(d, float(np.abs(d).max(initial=0.0)))
+    return float(np.ldexp(np.linalg.norm(scaled) / np.sqrt(d.size), e))
 
 
 def empirical_risk(estimate, truth) -> float:
@@ -365,8 +352,9 @@ class RiskReport:
 
 def _generate_replicate(
     spec: ScenarioSpec, rng: np.random.Generator, buffers: _Buffers | None = None
-) -> tuple[np.ndarray, GroundTruth]:
-    """(Y, truth) of one replicate; Y is built in ``buffers[0]`` and the
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(Y, (theta_r, theta_l, range)) of one replicate, the truth read off
+    the unpermuted signal's end columns; Y is built in ``buffers[0]`` and the
     noise drawn into ``buffers[1]`` when they are given.  The generators are
     looked up as module globals at each call, so a re-binding takes effect."""
     if spec.kind is ScenarioKind.CUSTOM_LINEAR:
@@ -382,7 +370,7 @@ def _generate_replicate(
         pi = np.asarray(spec.given_permutation, dtype=np.int64)
     y = synthesize_observation(signal, spec.sigma, pi, rng, buffers)
     theta_l, theta_r = _growth_signal(signal.a, signal.eta[[0, -1]], signal.b, signal.log).T.copy()
-    return y, GroundTruth(theta_r=theta_r, theta_l=theta_l, range=theta_r - theta_l, pi=pi)
+    return y, (theta_r, theta_l, theta_r - theta_l)
 
 
 @functools.cache
@@ -439,13 +427,12 @@ def _replicate_risks(
     spectral, regression and DS estimates share one eigensolve.  With
     ``buffers``, Y is built in ``buffers[0]`` and centered into
     ``buffers[1]`` once the noise drawn there has been added."""
-    y, truth = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)), buffers)
-    truths = (truth.theta_r, truth.theta_l, truth.range)
+    y, truths = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)), buffers)
     ctx = None
     risks = []
     for name in estimators:
         if name == "irep":
-            risks.append(empirical_risk(irep_range(y), truth.range))
+            risks.append(empirical_risk(irep_range(y), truths[2]))
             continue
         if name == "os":
             est = order_statistic_extremes(y)
@@ -464,8 +451,7 @@ def _summarize(estimator: str, target: str, risks: np.ndarray) -> RiskSummary:
     ok = risks[~np.isnan(risks)]
     if ok.size:
         # on risks divided by 2**e (exact), so that the sums cannot overflow
-        e = _pow2_exponent(float(ok.max()))
-        scaled = np.ldexp(ok, -e)
+        scaled, e = _pow2_scaled(ok, float(ok.max()))
         q1, med, q3 = np.ldexp(np.percentile(scaled, [25.0, 50.0, 75.0]), e)
         mean = float(np.ldexp(scaled.mean(), e))
         std = float(np.ldexp(scaled.std(ddof=1), e)) if ok.size > 1 else 0.0
@@ -503,7 +489,8 @@ def run_monte_carlo(
     error (e.g. a zero centered matrix under alpha -> 0), or whose risk
     overflows, leaves its row NaN, is recorded in ``failures`` with its
     exception class and message, and is excluded from the summaries.
-    An empty, unknown or repeated estimator name raises ``ValueError``.
+    An empty, unknown or repeated estimator name raises ``ValueError``, and
+    so does a worker thread that the system cannot start.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -541,7 +528,13 @@ def run_monte_carlo(
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(job, range(reps)))
+                try:  # each submit starts a pool thread until there are ``workers``
+                    futures = [pool.submit(job, r) for r in range(reps)]
+                except RuntimeError as exc:
+                    pool.shutdown(cancel_futures=True)
+                    raise ValueError(f"cannot start {workers} worker threads: {exc}") from None
+                for future in futures:
+                    future.result()
         else:
             for r in range(reps):
                 job(r)

@@ -121,7 +121,11 @@ def _clean_groups(groups: Sequence) -> list[np.ndarray]:
 
     F, t and the Welch df do not change under a common scale, and dividing by
     a power of two is exact; the sums of squares of values below 1 in size
-    cannot overflow.
+    cannot overflow.  The groups are scaled even when ``matrix._pow2_scaled``
+    would leave them as they are: the statistics square with Python's
+    ``x ** 2``, that is libm ``pow``, which does not commute exactly with a
+    power-of-two scale, so skipping the scale would change the last bit of
+    some F and t values.
     """
     cleaned = []
     for g in groups:

@@ -141,7 +141,7 @@ def signal_matrix(signal) -> np.ndarray:
 
 
 def composed_replicate(spec, rng):
-    """A Monte Carlo replicate's (Y, (theta_r, theta_l, range), pi), drawn
+    """A Monte Carlo replicate's (Y, (theta_r, theta_l, range)), drawn
     from ``rng`` in the replicate's order (slopes, intercepts, permutation,
     noise) and built through the whole n x p signal: its columns are
     permuted with ``np.take`` and the scaled noise is added to a new array.
@@ -164,4 +164,4 @@ def composed_replicate(spec, rng):
     y = theta if pi is None else np.take(theta, np.argsort(pi), axis=1)
     if spec.sigma > 0:
         y = y + spec.sigma * rng.standard_normal((n, p))
-    return y, (theta[:, -1], theta[:, 0], theta[:, -1] - theta[:, 0]), pi
+    return y, (theta[:, -1], theta[:, 0], theta[:, -1] - theta[:, 0])

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from permrow import (
     spectral_extremes,
     write_estimates_csv,
 )
-from permrow.cli import main
+from permrow.cli import entrypoint, main
 from permrow.io import load_grouped_csv
 
 
@@ -617,6 +618,21 @@ class TestCliSimulate:
         assert err.startswith("permrow: error: not enough memory: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_thread_start_failure_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        cfg = write(tmp_path / "cfg.json", json.dumps(self.CONFIG))
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--config", cfg, "--reps", "3", "--seed", "1",
+                     "--output", str(out), "--threads", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "permrow: error: cannot start 2 worker threads: can't start new thread\n"
+        )
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", "{not json")
         code = main(
@@ -793,6 +809,127 @@ def test_help_prints_usage_exit_0(run_cli, argv):
     proc = run_cli(*argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith(f"usage: permrow {'rates ' if argv[0] == 'rates' else ''}[-h]")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["rates", *RATES_ARGS], 0), (["estimate", "--input", "missing.csv", "--output", "o.csv"], 2)],
+    ids=["ok", "missing-input"],
+)
+def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, argv, code):
+    """The console script's ``entrypoint()`` raises SystemExit with the code
+    ``main`` returns for the same argv."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    monkeypatch.setattr(sys, "argv", ["permrow", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == code
+
+
+# Raw argv: "{name}" stands for a file written (or a path left missing) by
+# the test.  Every flag is followed by one drawn value, so a value can never
+# become another flag's; no unknown flag abbreviates a real one.  --threads
+# stays at 4 or below, and --reps at 10 or below or past any allocation.
+ARGV_JUNK = st.sampled_from(["", " ", "x", "1.5", "1e400", "-1e400", "inf", "-inf", "nan", "-", "--"])
+ARGV_INTS = st.one_of(st.integers(-3, 12), st.integers(-10**400, 10**400)).map(str) | ARGV_JUNK
+ARGV_NUMBERS = st.floats().map(repr) | ARGV_INTS
+ARGV_PATHS = st.sampled_from(["{coverage}", "{grouped}", "{config}", "{bad_config}", "{missing}", ""])
+ARGV_OUTPUTS = st.sampled_from(["{missing}/o.csv", "{dir}", ""])
+
+
+def flag_value(usual, other):
+    """A flag value: from ``usual`` three times in four, else from ``other``."""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 3 else usual)
+
+
+ARGV_FLAGS = {
+    "estimate": {
+        "--input": flag_value(st.just("{coverage}"), ARGV_PATHS),
+        "--output": flag_value(st.just("{out}"), ARGV_OUTPUTS),
+        "--method": st.sampled_from(["spectral", "regression", "ds", "os", "irep", "bogus", ""]),
+        "--sign": st.sampled_from(["row-majority", "first-negative", "x"]),
+        "--exp": None,
+        "--trim": flag_value(st.floats(0.0, 0.5).map(repr), ARGV_NUMBERS),
+    },
+    "simulate": {
+        "--config": flag_value(st.just("{config}"), ARGV_PATHS),
+        "--reps": flag_value(
+            st.integers(1, 10).map(str),
+            st.one_of(st.integers(-10**400, 0), st.integers(HUGE_REPS, 10**400)).map(str)
+            | ARGV_JUNK,
+        ),
+        "--seed": ARGV_INTS,
+        "--output": flag_value(st.just("{out}"), ARGV_OUTPUTS),
+        "--threads": flag_value(st.integers(1, 4).map(str),
+                                st.integers(-10**400, 0).map(str) | ARGV_JUNK),
+        "--estimators": flag_value(st.lists(ESTIMATOR_NAMES, min_size=1, unique=True),
+                                   ESTIMATOR_LISTS).map(",".join),
+    },
+    "rates": {
+        "--t": flag_value(st.floats(0.0, 1e3).map(repr), ARGV_NUMBERS),
+        "--beta-r": flag_value(st.floats(0.0, 1.0).map(repr), ARGV_NUMBERS),
+        "--beta-l": flag_value(st.floats(0.0, 1.0).map(repr), ARGV_NUMBERS),
+        "--sigma": flag_value(st.floats(1e-3, 1e3).map(repr), ARGV_NUMBERS),
+        "--n": flag_value(st.integers(1, 10**6).map(str), ARGV_INTS),
+        "--p": flag_value(st.integers(2, 10**9).map(str), ARGV_INTS),
+    },
+    "compare": {
+        "--input": flag_value(st.just("{grouped}"), ARGV_PATHS),
+        "--test": st.sampled_from(["f", "t", "x", ""]),
+        "--variant": st.sampled_from(["welch", "pooled", "x"]),
+    },
+}
+ARGV_UNKNOWN = {"--bogus": ARGV_NUMBERS, "-q": None}
+
+
+@st.composite
+def raw_argv(draw, command):
+    """``command`` (None for none) and its flags in any order: each kept nine
+    times in ten, then up to two more, repeated or unknown, and --help once
+    in twenty.  A command that is not a subcommand draws the rates flags."""
+    own = ARGV_FLAGS.get(command, ARGV_FLAGS["rates"])
+    flags = {**own, **ARGV_UNKNOWN, "--help": None}
+    chosen = [flag for flag in own if draw(st.integers(0, 9)) < 9]
+    chosen += draw(st.lists(st.sampled_from(sorted({**own, **ARGV_UNKNOWN})), max_size=2))
+    chosen += ["--help"] * (draw(st.integers(0, 19)) == 19)
+    argv = [] if command is None else [command]
+    for flag in draw(st.permutations(chosen)):
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    return argv
+
+
+@pytest.mark.parametrize("command", [*ARGV_FLAGS, None, "bogus", ""])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_argv_fuzz_exit_code_and_one_line(command, data):
+    """Any raw argv, for each subcommand, none and an unknown one, ends in
+    exit 0, 2 or 3 with at most one stderr line and no traceback; warnings
+    are errors, as in the other fuzzes."""
+    argv = data.draw(raw_argv(command), label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {
+            "coverage": write(Path(tmp) / "cov.csv", COVERAGE),
+            "grouped": write(Path(tmp) / "g.csv", TestCliCompare.GROUPED),
+            "config": write(Path(tmp) / "cfg.json", json.dumps({"kind": "S2", "n": 3, "p": 6})),
+            "bad_config": write(Path(tmp) / "bad.json", "[1, 2]"),
+            "missing": str(Path(tmp) / "missing"),
+            "out": str(Path(tmp) / "o.csv"),
+            "dir": tmp,
+        }
+        argv = [token.format(**paths) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a usage error or --help
+                code = exc.code
+    event(f"exit {code}{' (help)' if out.getvalue().startswith('usage:') else ''}")
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestCliCompare:

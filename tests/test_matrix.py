@@ -70,6 +70,33 @@ class TestCenterRows:
             center_rows([[1.0, np.inf], [0.0, 1.0]])
 
 
+class TestPow2Scaled:
+    """``_pow2_scaled(x, top)`` leaves x alone inside [2**-100, 2**100] and
+    otherwise divides it, exactly, by the power of two just above ``top``."""
+
+    X = np.array([3.0, -0.5, 7.25])
+
+    @pytest.mark.parametrize(
+        "top", [2.0**-100, 2.0**100, 1.0, 0.0, np.inf, np.nan],
+        ids=["2^-100", "2^100", "1", "0", "inf", "nan"],
+    )
+    def test_returns_x_itself(self, top):
+        scaled, e = matrix._pow2_scaled(self.X, top)
+        assert scaled is self.X and e == 0
+
+    @pytest.mark.parametrize(
+        "top",
+        [np.nextafter(2.0**100, np.inf), np.nextafter(2.0**-100, 0.0), 2.0**600, 1e-300, 5e-324],
+        ids=["past-2^100", "below-2^-100", "2^600", "1e-300", "subnormal"],
+    )
+    def test_scales_past_the_band(self, top):
+        x = np.array([top, -top, top / 4, 0.0])
+        scaled, e = matrix._pow2_scaled(x, top)
+        assert 2.0 ** (e - 1) <= top < 2.0**e
+        assert scaled.tobytes() == np.ldexp(x, -e).tobytes()
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+
+
 class TestLeadingSingularTriple:
     def test_closed_form_rank_one(self):
         for convention in SignConvention:

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -178,19 +179,17 @@ def test_replicate_matches_public_composition(kind, permutation, sigma):
             rng_stream(trial_seed(spec.seed, r)) for _ in range(3)
         )
         y, truth = simulation._generate_replicate(spec, built_rng)
-        y_ref, truth_ref, pi_ref = composed_replicate(spec, composed_rng)
+        y_ref, truth_ref = composed_replicate(spec, composed_rng)
         assert y.tobytes() == y_ref.tobytes()
-        for got, want in zip((truth.theta_r, truth.theta_l, truth.range), truth_ref):
+        for got, want in zip(truth, truth_ref, strict=True):
             assert got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(truth.pi, pi_ref)
         after = built_rng.bytes(16)
         assert composed_rng.bytes(16) == after  # the same draws were used up
 
         y_buf, truth_buf = simulation._generate_replicate(spec, buffered_rng, buffers)
         assert np.shares_memory(y_buf, buffers[0]) and y_buf.flags.c_contiguous
         assert y_buf.tobytes() == y.tobytes()
-        for got, want in zip((truth_buf.theta_r, truth_buf.theta_l, truth_buf.range),
-                             (truth.theta_r, truth.theta_l, truth.range)):
+        for got, want in zip(truth_buf, truth, strict=True):
             assert got.tobytes() == want.tobytes()
             assert not any(np.shares_memory(got, buf) for buf in buffers)
         assert buffered_rng.bytes(16) == after
@@ -226,9 +225,9 @@ def test_replicate_centres_into_second_buffer(monkeypatch):
 def test_replicate_matches_public_composition_at_grid_size(kind):
     spec = ScenarioSpec(kind=kind, n=150, p=1000, alpha=3.0, sigma=1.0, seed=7)
     y, truth = simulation._generate_replicate(spec, rng_stream(11))
-    y_ref, truth_ref, _ = composed_replicate(spec, rng_stream(11))
+    y_ref, truth_ref = composed_replicate(spec, rng_stream(11))
     assert y.tobytes() == y_ref.tobytes()
-    assert truth.range.tobytes() == truth_ref[2].tobytes()
+    assert truth[2].tobytes() == truth_ref[2].tobytes()
 
 
 def test_perfbench_tracer_spans_every_replicate(monkeypatch):
@@ -274,7 +273,7 @@ def _reference_monte_carlo(spec: ScenarioSpec, reps: int):
     ``ALL_PAIRS``; a replicate that raises a package error is a NaN row."""
     rows, failures = [], []
     for r in range(reps):
-        y, truth, _ = composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
+        y, truth = composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
         row = []
         try:
             with np.errstate(all="ignore"):
@@ -635,6 +634,37 @@ class TestBlasThreadPin:
         self.spy_os(monkeypatch, boom)
         with pytest.raises(RuntimeError, match="boom"):
             run_monte_carlo(self.SPEC, reps=2, threads=2)
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("started", [0, 1], ids=["none-started", "one-started"])
+    def test_failed_thread_start_raises_value_error(self, blas_threads, monkeypatch, started):
+        """A pool thread that cannot start ends the run with ValueError, after
+        ``started`` threads did start; the replicates still queued are
+        cancelled, and the BLAS count comes back."""
+        real_start, real_shutdown = threading.Thread.start, ThreadPoolExecutor.shutdown
+        starts, ran = [], []
+        release = threading.Event()  # holds the first replicate until the pool shuts down
+
+        def start(thread):
+            starts.append(thread)
+            if len(starts) > started:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        def shutdown(pool, wait=True, *, cancel_futures=False):
+            real_shutdown(pool, wait=False, cancel_futures=cancel_futures)
+            release.set()
+            real_shutdown(pool, wait=wait)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown)
+        self.spy_os(monkeypatch, lambda: ran.append(release.wait(30)))
+        message = "^cannot start 2 worker threads: can't start new thread$"
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(self.SPEC, reps=4, threads=2)
+        assert len(starts) == started + 1
+        assert not any(t.is_alive() for t in starts)
+        assert ran == [True] * started  # the started thread ran its first replicate only
         assert blas_threads() == 2
 
     def test_overlapping_calls_from_two_threads(self, blas_threads, monkeypatch):
