@@ -3,7 +3,6 @@ column-permuted, approximately rank-one monotone matrices, with baselines,
 minimax-rate calculators, and a reproducible Monte Carlo harness."""
 
 from .errors import (
-    DegenerateRegressor,
     DegenerateVariance,
     DimensionMismatch,
     DuplicateSampleId,

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import InputError, NonFiniteEstimate, NumericalDegeneracyError
 from .estimators import (
+    DEFAULT_TRIM,
+    EstimatorMethod,
     direct_sorting_extremes,
     irep_extremes,
     order_statistic_extremes,
@@ -27,27 +29,22 @@ from .estimators import (
 )
 from .io import load_coverage_csv, load_grouped_csv, write_estimates_csv
 from .matrix import SignConvention
-from .simulation import ScenarioSpec, run_monte_carlo
+from .simulation import DEFAULT_ESTIMATORS, ScenarioSpec, run_monte_carlo
 from .stats import TTestVariant, f_test_oneway, t_test_two_sample
 from .theory import SignalIndices, classify_snr, minimax_rate_extreme, rate_psi
-
-_SIGN = {
-    "row-majority": SignConvention.ROW_MAJORITY,
-    "first-negative": SignConvention.FIRST_NONZERO_NEGATIVE,
-}
 
 
 def _cmd_estimate(args) -> int:
     table = load_coverage_csv(args.input)
-    convention = _SIGN[args.sign]
+    convention = SignConvention(args.sign)
     # each estimator is looked up in this module when the method runs
     estimate = {
-        "spectral": lambda y: spectral_extremes(y, convention=convention),
-        "regression": lambda y: regression_extremes(y, convention=convention),
-        "ds": lambda y: direct_sorting_extremes(y, convention=convention),
-        "os": lambda y: order_statistic_extremes(y),
-        "irep": lambda y: irep_extremes(y, trim_fraction=args.trim),
-    }[args.method]
+        EstimatorMethod.SPECTRAL: lambda y: spectral_extremes(y, convention=convention),
+        EstimatorMethod.REGRESSION: lambda y: regression_extremes(y, convention=convention),
+        EstimatorMethod.DIRECT_SORTING: lambda y: direct_sorting_extremes(y, convention=convention),
+        EstimatorMethod.ORDER_STATISTIC: lambda y: order_statistic_extremes(y),
+        EstimatorMethod.IREP: lambda y: irep_extremes(y, trim_fraction=args.trim),
+    }[EstimatorMethod(args.method)]
     # An overflow shows as a non-finite value below or as a package error,
     # so numpy's warnings would only add lines to stderr.
     with np.errstate(all="ignore"):
@@ -167,12 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--output", required=True)
     est.add_argument(
         "--method",
-        default="spectral",
-        choices=["spectral", "regression", "ds", "os", "irep"],
+        default=EstimatorMethod.SPECTRAL.value,
+        choices=[m.value for m in EstimatorMethod],
     )
-    est.add_argument("--sign", default="row-majority", choices=sorted(_SIGN))
+    est.add_argument(
+        "--sign",
+        default=SignConvention.ROW_MAJORITY.value,
+        choices=[c.value for c in SignConvention],
+    )
     est.add_argument("--exp", action="store_true", help="emit exp-scale values (ePTR)")
-    est.add_argument("--trim", type=float, default=0.05, help="iRep trim fraction")
+    est.add_argument("--trim", type=float, default=DEFAULT_TRIM, help="iRep trim fraction")
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo risk study")
@@ -183,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--threads", type=int, default=1)
     sim.add_argument(
         "--estimators",
-        default="spectral,ds,os",
-        help="comma-separated subset of spectral,regression,ds,os,irep",
+        default=",".join(DEFAULT_ESTIMATORS),
+        help="comma-separated subset of " + ",".join(m.value for m in EstimatorMethod),
     )
     sim.set_defaults(func=_cmd_simulate)
 

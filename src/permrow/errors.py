@@ -75,9 +75,5 @@ class ZeroSignal(NumericalDegeneracyError):
     """Slope or position vector has zero norm; signal indices are undefined."""
 
 
-class DegenerateRegressor(NumericalDegeneracyError):
-    """All regression scores are equal; the slope is undefined."""
-
-
 class DegenerateVariance(NumericalDegeneracyError):
     """Within-group variance is zero, or too small for a finite statistic."""

@@ -1,10 +1,11 @@
 """Extreme-column and range estimators.
 
 The spectral estimator projects each row onto the leading right singular
-direction of the row-centered matrix and reads off the extreme scores; the
-regression form fits per-row least squares against the sorted scores and is
-numerically identical.  Direct sorting, rowwise order statistics, and a
-sort-trim-OLS proxy for iRep serve as baselines.
+direction v of the row-centered matrix and reads off the extreme scores; the
+regression form fits per-row least squares on v, read at its extremes.  A
+least-squares fit does not depend on the order of its pairs, so that fit
+needs no sort by the recovered permutation.  Direct sorting, rowwise order
+statistics, and a sort-trim-OLS proxy for iRep serve as baselines.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import DegenerateRegressor, InsufficientColumns, NonFiniteEstimate
+from .errors import InsufficientColumns, NonFiniteEstimate
 from .matrix import (
     CenteredMatrix,
     Ranking,
@@ -26,6 +27,8 @@ from .matrix import (
     leading_singular_triple,
     rank_vector,
 )
+
+DEFAULT_TRIM = 0.05  # the iRep proxy's trim fraction at each end
 
 
 class EstimatorMethod(Enum):
@@ -100,19 +103,14 @@ def _spectral_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
 
 
 def _regression_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
-    order = ctx.ranking.order
-    scores = ctx.triple.v[order]
-    y_sorted = ctx.y[:, order]
-    m = float(scores.mean())
-    centered_scores = scores - m
-    denom = float(centered_scores @ centered_scores)
-    if denom == 0.0:
-        raise DegenerateRegressor("all score components are equal")
-    row_means = y_sorted.mean(axis=1)
-    beta = (y_sorted - row_means[:, None]) @ centered_scores / denom
-    alpha = row_means - beta * m
-    theta_r = alpha + beta * float(scores[-1])
-    theta_l = alpha + beta * float(scores[0])
+    # the OLS slope of Y's rows on v, from the centred Y and its row means
+    v = ctx.triple.v
+    m = float(v.mean())
+    c = v - m
+    beta = ctx.centered.values @ c / float(c @ c)
+    alpha = ctx.centered.row_means - beta * m
+    theta_r = alpha + beta * float(v.max())
+    theta_l = alpha + beta * float(v.min())
     return ExtremeEstimates(
         theta_r=theta_r,
         theta_l=theta_l,
@@ -147,8 +145,13 @@ def spectral_extremes(
 def regression_extremes(
     y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> ExtremeEstimates:
-    """Two-step form: sort columns by the recovered permutation, then per-row OLS
-    on the sorted scores.  Numerically identical to ``spectral_extremes``."""
+    """Two-step form: per-row OLS of Y on the scores v, read at v_(p) and v_(1).
+
+    The paper sorts the columns by the recovered permutation first; the fit
+    does not depend on the order of the (score, value) pairs, so none is
+    sorted.  With c = v - mean(v) the slope is X c / (c . c); v is a unit
+    vector orthogonal to e (X's rows sum to zero), so c . c is 1 and X c is
+    Xv up to rounding, and the estimates agree with ``spectral_extremes``."""
     return _regression_from_context(_spectral_context(y, convention))
 
 
@@ -179,7 +182,7 @@ def order_statistic_extremes(y) -> ExtremeEstimates:
     )
 
 
-def irep_range(y, trim_fraction: float = 0.05) -> np.ndarray:
+def irep_range(y, trim_fraction: float = DEFAULT_TRIM) -> np.ndarray:
     """Sort-trim-OLS proxy for the iRep log-PTR estimate, per sample.
 
     Each row is sorted ascending, ``floor(trim_fraction * p)`` entries are
@@ -206,7 +209,7 @@ def irep_range(y, trim_fraction: float = 0.05) -> np.ndarray:
     return slopes * (p - 1)
 
 
-def irep_extremes(y, trim_fraction: float = 0.05) -> ExtremeEstimates:
+def irep_extremes(y, trim_fraction: float = DEFAULT_TRIM) -> ExtremeEstimates:
     """The iRep proxy as estimates: ``irep_range`` per sample, and no
     extremes, scores or permutation."""
     return ExtremeEstimates(

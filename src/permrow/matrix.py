@@ -4,6 +4,8 @@ Row centering, ranking/permutation machinery, the leading singular triple
 of the centered matrix, and the residual spectrum of a matrix.  The last two
 share one solve, the top k eigenpairs of the Gram matrix on the smaller side:
 LAPACK dsyevr of numpy's OpenBLAS, or ``np.linalg.eigh`` where that is not found.
+This module names every OpenBLAS symbol the package calls, the thread-count
+calls that ``run_monte_carlo`` pins included.
 
 The public functions here are pure; none mutates its arguments.
 """
@@ -176,6 +178,16 @@ def _openblas_function(name: str, restype, *argtypes):
         return None
     fn.restype, fn.argtypes = restype, argtypes
     return fn
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of numpy's OpenBLAS thread count, or None where not found."""
+    import ctypes
+
+    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return None if get is None or set_ is None else (get, set_)
 
 
 @functools.cache

@@ -29,7 +29,6 @@ reports may vary in their last digits with that BLAS's thread count.
 
 from __future__ import annotations
 
-import functools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +49,7 @@ from .estimators import (
     irep_range,
     order_statistic_extremes,
 )
-from .matrix import _openblas_function, _pow2_scaled
+from .matrix import _openblas_thread_calls, _pow2_scaled
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -371,16 +370,6 @@ def _generate_replicate(
     y = synthesize_observation(signal, spec.sigma, pi, rng, buffers)
     theta_l, theta_r = _growth_signal(signal.a, signal.eta[[0, -1]], signal.b, signal.log).T.copy()
     return y, (theta_r, theta_l, theta_r - theta_l)
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of numpy's OpenBLAS thread count, or None where not found."""
-    import ctypes
-
-    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
-    return None if get is None or set_ is None else (get, set_)
 
 
 # OpenBLAS's thread count is process-wide, so the bookkeeping of who holds it

@@ -79,42 +79,40 @@ def minimax_rate_extreme(
     or 'range'.  The shrink factor is the regime-wise simplification of
     min(sigma * sqrt((t^2 + sigma^2 p) n) / t^2, 1): 1 in the weak regime,
     sigma^2 sqrt(pn) / t^2 in the intermediate one, sigma sqrt(n) / t in
-    the strong one, so the first term plateaus at beta * sigma exactly
-    once t^2 exceeds sigma^2 p.  The three pieces agree at the regime
-    boundaries, keeping the rate continuous in t.
+    the strong one.  With r = t / sigma the first term is beta t / sqrt(n),
+    beta sigma sqrt(p) / r and beta sigma: it plateaus at beta * sigma exactly
+    once r^2 exceeds p, and the three pieces agree at the regime boundaries,
+    keeping the rate continuous in t.  Computed on r, never on t^2, the rate
+    scales with (t, sigma) exactly, and t = 0 gives the tail sigma * psi.
     """
     beta = {
         "right": idx.beta_r,
         "left": idx.beta_l,
         "range": idx.beta_r + idx.beta_l,
     }[target]
-    _check_n_p(n, p)
     tail = idx.sigma * rate_psi(n, p)
-    if beta == 0.0:
-        return tail
-    if idx.t <= 0:
-        raise ValueError("t must be positive when beta > 0")
     regime = classify_snr(idx.t, idx.sigma, n, p)
-    t2 = idx.t * idx.t
-    s2 = idx.sigma * idx.sigma
     if regime is SnrRegime.WEAK:
-        shrink = 1.0
+        first = beta * idx.t / math.sqrt(n)
     elif regime is SnrRegime.INTERMEDIATE:
-        shrink = s2 * math.sqrt(float(p) * n) / t2
+        first = beta * idx.sigma * (math.sqrt(float(p)) / (idx.t / idx.sigma))
     else:
-        shrink = idx.sigma * math.sqrt(n) / idx.t
-    return beta * idx.t / math.sqrt(n) * shrink + tail
+        first = beta * idx.sigma
+    return first + tail
 
 
 def classify_snr(t: float, sigma: float, n: int, p: int) -> SnrRegime:
     """Weak / intermediate / strong SNR regime of t^2 against sigma^2 sqrt(np)
-    and sigma^2 p.  Exact boundaries belong to the lower regime."""
+    and sigma^2 p, compared as r^2 = (t / sigma)^2 against sqrt(np) and p, so
+    that no square of t or sigma overflows or underflows.  Exact boundaries
+    belong to the lower regime."""
     _check_t_sigma(t, sigma)
     _check_n_p(n, p)
-    t2 = t * t
-    if t2 <= sigma * sigma * math.sqrt(float(n) * p):
+    r = t / sigma
+    r2 = r * r  # not r ** 2, which raises OverflowError
+    if r2 <= math.sqrt(float(n) * p):
         return SnrRegime.WEAK
-    if t2 <= sigma * sigma * p:
+    if r2 <= p:
         return SnrRegime.INTERMEDIATE
     return SnrRegime.STRONG
 
@@ -154,10 +152,10 @@ def feasible_condition11(idx: SignalIndices, n: int, p: int) -> bool:
     _check_n_p(n, p)
     logp = math.log(p)
     psi = rate_psi(n, p)
-    s2 = idx.sigma * idx.sigma
-    first = s2 * min(
+    first = min(
         1.0 / beta**2,
         1.0 / psi**2 + (1.0 / psi) * math.sqrt(p / (n * logp)),
     ) * n * logp
-    second = (1.0 - beta**2) / beta**2 * s2 * logp + beta**2 * s2 * p / (1.0 - beta**2)
-    return idx.t * idx.t >= first + second
+    second = (1.0 - beta**2) / beta**2 * logp + beta**2 * p / (1.0 - beta**2)
+    r = idx.t / idx.sigma  # the bound over sigma^2, compared with r^2
+    return r * r >= first + second

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: centering via an
 explicit projection-matrix product, eigendecomposition via hand-rolled
 cyclic Jacobi rotations, ranking via lexicographic sorting, least squares
-via exact rational normal equations, coverage CSV parsing via one
+via exact rational normal equations, the regression estimate via the
+paper's sort-then-fit steps, coverage CSV parsing via one
 ``float()`` call per cell, and a Monte Carlo replicate via the whole n x p
 signal matrix, whose columns are then permuted.
 """
@@ -24,6 +25,8 @@ from permrow import (
     ParseError,
     PermutationKind,
     ScenarioKind,
+    SignConvention,
+    spectral_extremes,
 )
 
 
@@ -88,6 +91,25 @@ def exact_ols_slope(x_values, y_values) -> Fraction:
     sxx = sum(v * v for v in xs)
     sxy = sum(a * b for a, b in zip(xs, ys))
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+def regression_two_step(
+    y, convention: SignConvention = SignConvention.ROW_MAJORITY
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's two-step regression estimate (theta_r, theta_l): Y's
+    columns sorted by the ranking of the spectral scores v, each row
+    centred again and fit by OLS on the sorted scores, read at the last
+    and first of them."""
+    spec = spectral_extremes(y, convention)
+    order = spec.permutation_hat.order
+    scores = spec.triple.v[order]
+    y_sorted = np.asarray(y, dtype=float)[:, order]
+    m = float(scores.mean())
+    centered_scores = scores - m
+    row_means = y_sorted.mean(axis=1)
+    beta = (y_sorted - row_means[:, None]) @ centered_scores / float(centered_scores @ centered_scores)
+    alpha = row_means - beta * m
+    return alpha + beta * float(scores[-1]), alpha + beta * float(scores[0])
 
 
 def load_coverage_csv_per_cell(path) -> CoverageTable:

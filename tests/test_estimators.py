@@ -20,7 +20,7 @@ from permrow import (
     regression_extremes,
     spectral_extremes,
 )
-from oracles import exact_ols_slope
+from oracles import exact_ols_slope, regression_two_step
 from strategies import SHAPES, gapped_matrix
 
 Y0 = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0]])
@@ -93,6 +93,16 @@ class TestRegressionEquivalence:
             assert np.abs(reg.theta_r - spec.theta_r).max() <= tol
             assert np.abs(reg.theta_l - spec.theta_l).max() <= tol
             assert np.abs(reg.range - spec.range).max() <= tol
+
+    def test_matches_two_step_oracle(self):
+        # the fit on v in observed order equals the sort-then-fit of the paper
+        rng = np.random.default_rng(53)
+        cases = [random_growth_observation(rng, n=n, p=p) for n, p in [(10, 60), (60, 10)] * 25]
+        cases += [y[:, rng.permutation(y.shape[1])] for y in cases[:2]]
+        for y in cases:
+            est = regression_extremes(y)
+            for got, want in zip((est.theta_r, est.theta_l), regression_two_step(y)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_rows_stacked(self):
         y = np.vstack([np.array([-1.0, 0.0, 1.0]), np.zeros(3), np.zeros(3)])

@@ -760,6 +760,14 @@ class TestCliRates:
         assert doc["rateRange"] > doc["rate"]
 
 
+    def test_t_zero_gives_the_tail(self, capsys):
+        code = main(["rates", "--t", "0", "--beta-r", "0.5", "--sigma", "2",
+                     "--n", "10", "--p", "100"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["regime"] == "weak"
+        assert doc["rate"] == doc["psi"] * 2.0
+
     @pytest.mark.parametrize(
         "n, p, code",
         [(10**400, 10, 2), (10, 10**400, 2), (10**200, 10**200, 0)],

@@ -34,11 +34,11 @@ from permrow import (
     trial_seed,
 )
 from permrow import simulation
-from permrow.matrix import center_rows
+from permrow.matrix import _openblas_thread_calls, center_rows
 
 from oracles import composed_replicate, signal_matrix
 
-BLAS = simulation._openblas_thread_calls()
+BLAS = _openblas_thread_calls()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
 
 

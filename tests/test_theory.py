@@ -81,6 +81,33 @@ class TestMinimaxRate:
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
+# t / sigma in each regime at n = 100, p = 10_000: weak up to sqrt(1000),
+# intermediate up to 100, strong beyond
+SNR_RATIOS = [
+    (0.0, SnrRegime.WEAK), (5.0, SnrRegime.WEAK), (20.0, SnrRegime.WEAK),
+    (50.0, SnrRegime.INTERMEDIATE), (90.0, SnrRegime.INTERMEDIATE),
+    (150.0, SnrRegime.STRONG), (1e4, SnrRegime.STRONG), (1e30, SnrRegime.STRONG),
+]
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+@pytest.mark.parametrize("sigma", [1.0, 0.75])
+@pytest.mark.parametrize("ratio, regime", SNR_RATIOS)
+def test_rate_scales_exactly_with_t_and_sigma(ratio, regime, sigma, k):
+    """Scaling t and sigma by 2**k keeps the regime and scales the rate by
+    2**k exactly, however far t**2 or sigma**2 would leave the float range."""
+    n, p = 100, 10_000
+    t = ratio * sigma
+    scaled_t, scaled_sigma = math.ldexp(t, k), math.ldexp(sigma, k)
+    assert classify_snr(t, sigma, n, p) is regime
+    assert classify_snr(scaled_t, scaled_sigma, n, p) is regime
+    for target in ("right", "left", "range"):
+        idx = SignalIndices(t=t, beta_r=0.4, beta_l=0.3, sigma=sigma)
+        scaled = SignalIndices(t=scaled_t, beta_r=0.4, beta_l=0.3, sigma=scaled_sigma)
+        rate = minimax_rate_extreme(idx, n, p, target=target)
+        assert minimax_rate_extreme(scaled, n, p, target=target) == math.ldexp(rate, k)
+
+
 class TestClassifySnr:
     def test_reference_triple(self):
         assert classify_snr(math.sqrt(500), 1.0, 100, 10_000) is SnrRegime.WEAK
