@@ -73,6 +73,18 @@ class _SpectralContext:
     triple: SingularTriple
     ranking: Ranking
 
+    def estimates(self, method: EstimatorMethod, theta_r, theta_l) -> ExtremeEstimates:
+        """``method``'s estimates, with range = theta_r - theta_l and this
+        context's ranking and triple."""
+        return ExtremeEstimates(
+            theta_r=theta_r,
+            theta_l=theta_l,
+            range=theta_r - theta_l,
+            permutation_hat=self.ranking,
+            method=method,
+            triple=self.triple,
+        )
+
 
 def _spectral_context(
     y, convention: SignConvention = SignConvention.ROW_MAJORITY, out=None
@@ -92,14 +104,7 @@ def _spectral_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     xv = ctx.triple.lam * ctx.triple.u
     theta_r = float(v.max()) * xv + ctx.centered.row_means
     theta_l = float(v.min()) * xv + ctx.centered.row_means
-    return ExtremeEstimates(
-        theta_r=theta_r,
-        theta_l=theta_l,
-        range=theta_r - theta_l,
-        permutation_hat=ctx.ranking,
-        method=EstimatorMethod.SPECTRAL,
-        triple=ctx.triple,
-    )
+    return ctx.estimates(EstimatorMethod.SPECTRAL, theta_r, theta_l)
 
 
 def _regression_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
@@ -111,28 +116,14 @@ def _regression_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     alpha = ctx.centered.row_means - beta * m
     theta_r = alpha + beta * float(v.max())
     theta_l = alpha + beta * float(v.min())
-    return ExtremeEstimates(
-        theta_r=theta_r,
-        theta_l=theta_l,
-        range=theta_r - theta_l,
-        permutation_hat=ctx.ranking,
-        method=EstimatorMethod.REGRESSION,
-        triple=ctx.triple,
-    )
+    return ctx.estimates(EstimatorMethod.REGRESSION, theta_r, theta_l)
 
 
 def _direct_sorting_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     order = ctx.ranking.order
     theta_r = ctx.y[:, order[-1]].copy()
     theta_l = ctx.y[:, order[0]].copy()
-    return ExtremeEstimates(
-        theta_r=theta_r,
-        theta_l=theta_l,
-        range=theta_r - theta_l,
-        permutation_hat=ctx.ranking,
-        method=EstimatorMethod.DIRECT_SORTING,
-        triple=ctx.triple,
-    )
+    return ctx.estimates(EstimatorMethod.DIRECT_SORTING, theta_r, theta_l)
 
 
 def spectral_extremes(

@@ -77,21 +77,26 @@ class SingularTriple:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Ascending ranks of a vector and the inverse permutation.
+    """The ascending order of a vector, ties broken left to right.
 
-    Both arrays are 1-based, matching the ranking-operator convention:
-    ``ranks`` assigns 1 to the smallest entry with ties broken left to
-    right, and ``inverse_permutation[k-1]`` is the (1-based) index holding
-    rank k, so that ``ranks[inverse_permutation[k-1] - 1] == k``.
+    ``order`` is the 0-based int64 column order: ``order[k]`` holds the
+    (k+1)-th smallest entry.  ``ranks`` and ``inverse_permutation`` are the
+    1-based ranking-operator forms derived from it: ``ranks`` assigns 1 to
+    the smallest entry, and ``inverse_permutation[k-1]`` is the (1-based)
+    index holding rank k, so that ``ranks[inverse_permutation[k-1] - 1] == k``.
     """
 
-    ranks: np.ndarray
-    inverse_permutation: np.ndarray
+    order: np.ndarray
 
     @property
-    def order(self) -> np.ndarray:
-        """0-based column order, ascending by value (ties left to right)."""
-        return self.inverse_permutation - 1
+    def ranks(self) -> np.ndarray:
+        ranks = np.empty(self.order.size, dtype=np.int64)
+        ranks[self.order] = np.arange(1, self.order.size + 1)
+        return ranks
+
+    @property
+    def inverse_permutation(self) -> np.ndarray:
+        return self.order + 1
 
 
 def _as_matrix(values, name: str = "matrix", min_rows: int = 2) -> np.ndarray:
@@ -307,10 +312,7 @@ def rank_vector(x) -> Ranking:
         raise ValueError("rank_vector expects a nonempty 1-d vector")
     if not np.isfinite(v).all():
         raise NonFiniteInput("vector contains NaN or infinite entries")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.int64)
-    ranks[order] = np.arange(1, v.size + 1)
-    return Ranking(ranks=ranks, inverse_permutation=order.astype(np.int64) + 1)
+    return Ranking(order=np.argsort(v, kind="stable").astype(np.int64, copy=False))
 
 
 def residual_spectrum(x, k: int) -> tuple[float, float]:

@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -274,24 +275,58 @@ def _rms(d: np.ndarray) -> float:
 
 
 def empirical_risk(estimate, truth) -> float:
-    """Normalized l2 distance ||estimate - truth||_2 / sqrt(n)."""
+    """Normalized l2 distance ||estimate - truth||_2 / sqrt(n), n >= 1."""
     e = np.asarray(estimate, dtype=float).ravel()
     t = np.asarray(truth, dtype=float).ravel()
     if e.size != t.size:
         raise LengthMismatch(f"length {e.size} vs {t.size}")
+    if e.size == 0:
+        raise ValueError("empirical_risk needs at least one entry")
     return _rms(e - t)
 
 
 @dataclass(frozen=True)
 class RiskSummary:
+    """One (estimator, target) column of a run's risks and its statistics.
+
+    ``risks`` is indexed by replicate, NaN marking a failed replicate; the
+    record keeps a read-only copy of the column it is given.  ``mean``,
+    ``std`` (ddof 1), ``q1``, ``median`` and ``q3`` of the surviving risks
+    are computed together on first read: std is 0.0 for one survivor, and
+    all five are NaN when every replicate failed.
+    """
+
     estimator: str
     target: str
-    risks: np.ndarray  # indexed by replicate; NaN marks a failed replicate
-    mean: float
-    std: float
-    q1: float
-    median: float
-    q3: float
+    risks: np.ndarray
+
+    def __post_init__(self):
+        risks = np.array(self.risks, dtype=float)
+        risks.flags.writeable = False  # so that a computed statistic cannot go stale
+        object.__setattr__(self, "risks", risks)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __post_init__, which a plain
+        # restore of the instance dict would skip, leaving the risks writable
+        return RiskSummary, (self.estimator, self.target, self.risks)
+
+    @cached_property
+    def _stats(self) -> tuple[float, float, float, float, float]:
+        """(mean, std, q1, median, q3), on the risks divided by 2**e (exact),
+        so that the sums cannot overflow."""
+        ok = self.risks[~np.isnan(self.risks)]
+        if not ok.size:
+            return (float("nan"),) * 5
+        scaled, e = _pow2_scaled(ok, float(ok.max()))
+        q1, median, q3 = np.ldexp(np.percentile(scaled, [25.0, 50.0, 75.0]), e)
+        std = float(np.ldexp(scaled.std(ddof=1), e)) if ok.size > 1 else 0.0
+        return float(np.ldexp(scaled.mean(), e)), std, float(q1), float(median), float(q3)
+
+    mean = property(lambda self: self._stats[0])
+    std = property(lambda self: self._stats[1])
+    q1 = property(lambda self: self._stats[2])
+    median = property(lambda self: self._stats[3])
+    q3 = property(lambda self: self._stats[4])
 
 
 @dataclass(frozen=True)
@@ -436,28 +471,6 @@ def _replicate_risks(
     return risks
 
 
-def _summarize(estimator: str, target: str, risks: np.ndarray) -> RiskSummary:
-    ok = risks[~np.isnan(risks)]
-    if ok.size:
-        # on risks divided by 2**e (exact), so that the sums cannot overflow
-        scaled, e = _pow2_scaled(ok, float(ok.max()))
-        q1, med, q3 = np.ldexp(np.percentile(scaled, [25.0, 50.0, 75.0]), e)
-        mean = float(np.ldexp(scaled.mean(), e))
-        std = float(np.ldexp(scaled.std(ddof=1), e)) if ok.size > 1 else 0.0
-    else:
-        q1 = med = q3 = mean = std = float("nan")
-    return RiskSummary(
-        estimator=estimator,
-        target=target,
-        risks=risks,
-        mean=mean,
-        std=std,
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-    )
-
-
 def run_monte_carlo(
     spec: ScenarioSpec,
     estimators: Sequence[str] = DEFAULT_ESTIMATORS,
@@ -532,6 +545,6 @@ def run_monte_carlo(
         spec=spec,
         reps=reps,
         estimators=estimators,
-        summaries=tuple(_summarize(e, t, risks[:, k].copy()) for k, (e, t) in enumerate(pairs)),
+        summaries=tuple(RiskSummary(e, t, risks[:, k]) for k, (e, t) in enumerate(pairs)),
         failures=tuple(sorted(failures)),
     )

@@ -52,21 +52,21 @@ def _check_t_sigma(t: float, sigma: float) -> None:
 
 
 def _check_n_p(n, p) -> None:
-    """Raise ValueError unless n and p are finite and within the float range:
-    a larger integer would end in OverflowError where it meets a float."""
+    """Raise ValueError unless n >= 1 and p >= 2 are finite and within the
+    float range: a larger integer would end in OverflowError where it meets
+    a float."""
     if not (abs(n) <= sys.float_info.max and abs(p) <= sys.float_info.max):
         raise ValueError("n and p must be finite and within the float range")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if p < 2:
+        raise ValueError("p must be at least 2")
 
 
 def rate_psi(n: int, p) -> float:
     """The rate function sqrt(ln p / n); ``p`` may be real-valued."""
     _check_n_p(n, p)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    p = float(p)
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    return math.sqrt(math.log(p) / n)
+    return math.sqrt(math.log(float(p)) / n)
 
 
 def minimax_rate_extreme(

@@ -30,6 +30,6 @@ def run_cli():
         full = {**os.environ, **(env or {})}
         full["PYTHONPATH"] = os.pathsep.join(filter(None, (src, full.get("PYTHONPATH"))))
         argv = [sys.executable, "-m", "permrow.cli", *map(str, args)]
-        return subprocess.run(argv, env=full, capture_output=True, text=True, timeout=120)
+        return subprocess.run(argv, env=full, capture_output=True, encoding="utf-8", timeout=120)
 
     return run

@@ -20,6 +20,7 @@ from permrow import (
     regression_extremes,
     spectral_extremes,
 )
+from permrow import estimators
 from oracles import exact_ols_slope, regression_two_step
 from strategies import SHAPES, gapped_matrix
 
@@ -243,6 +244,25 @@ class TestScoreExtremes:
         assert (est.v_max, est.v_min) == (None, None)
         exp = dataclasses.replace(est, range=np.exp(est.range))
         assert (exp.v_max, exp.v_min) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "read, method",
+    [
+        (estimators._spectral_from_context, EstimatorMethod.SPECTRAL),
+        (estimators._regression_from_context, EstimatorMethod.REGRESSION),
+        (estimators._direct_sorting_from_context, EstimatorMethod.DIRECT_SORTING),
+    ],
+    ids=["spectral", "regression", "ds"],
+)
+def test_spectral_family_built_on_the_context(read, method):
+    """The readouts of one context share its ranking and triple, and each
+    range is its theta_r - theta_l."""
+    ctx = estimators._spectral_context(random_growth_observation(np.random.default_rng(61)))
+    est = read(ctx)
+    assert est.method is method
+    assert est.permutation_hat is ctx.ranking and est.triple is ctx.triple
+    np.testing.assert_array_equal(est.range, est.theta_r - est.theta_l)
 
 
 def _assume_stable_readout(y):

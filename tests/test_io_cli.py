@@ -314,7 +314,7 @@ class TestWriteEstimates:
         est = spectral_extremes(table.values)
         out = tmp_path / "out.csv"
         write_estimates_csv(out, est, table.sample_ids)
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "sampleId,thetaR,thetaL,range,method"
         for i, line in enumerate(lines[1:]):
             sid, tr, tl, rg, method = line.split(",")
@@ -337,7 +337,7 @@ class TestCliEstimate:
     def test_spectral_default(self, tmp_path):
         code, out = self.run_estimate(tmp_path)
         assert code == 0
-        rows = out.read_text().splitlines()[1:]
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
         values = [row.split(",") for row in rows]
         assert float(values[0][1]) == pytest.approx(1.0, abs=1e-9)
         assert float(values[1][3]) == pytest.approx(4.0, abs=1e-9)
@@ -348,14 +348,14 @@ class TestCliEstimate:
             assert code == 0
         code, out = self.run_estimate(tmp_path, "--method", "irep", "--trim", "0")
         assert code == 0
-        row = out.read_text().splitlines()[1].split(",")
+        row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[1] == "" and row[2] == ""
         assert float(row[3]) == pytest.approx(2.0)
 
     def test_exp_scale(self, tmp_path):
         code, out = self.run_estimate(tmp_path, "--exp")
         assert code == 0
-        row = out.read_text().splitlines()[1].split(",")
+        row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert float(row[3]) == pytest.approx(math.exp(2.0), rel=1e-9)
 
     def test_awkward_ids_round_trip(self, tmp_path):
@@ -512,7 +512,7 @@ class TestCliSimulate:
                 )
                 == 0
             )
-            texts.append(out.read_text())
+            texts.append(out.read_text(encoding="utf-8"))
         assert texts[0] != texts[1]
 
     @pytest.mark.parametrize(
@@ -601,7 +601,7 @@ class TestCliSimulate:
             "permrow: warning: 7 of 8 replicates failed, the first with ZeroMatrixError; "
             "the risk CSV leaves them out\n"
         )
-        rows = out.read_text().splitlines()[1:]
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 9 and {row.split(",")[2] for row in rows} == {"2"}
 
     @pytest.mark.parametrize("threads", ["1", "2"])

@@ -453,6 +453,17 @@ class TestRankVector:
         with pytest.raises(NonFiniteInput):
             rank_vector([1.0, np.nan])
 
+    def test_stored_fields(self):
+        assert [f.name for f in dataclasses.fields(matrix.Ranking)] == ["order"]
+
+    def test_order_is_the_stable_argsort_and_the_rest_derive_from_it(self):
+        x = np.random.default_rng(33).integers(0, 20, size=60).astype(float)
+        r = rank_vector(x)
+        np.testing.assert_array_equal(r.order, np.argsort(x, kind="stable"))
+        np.testing.assert_array_equal(r.inverse_permutation, r.order + 1)
+        np.testing.assert_array_equal(r.ranks, rank_oracle(x))
+        assert r.order.dtype == r.ranks.dtype == r.inverse_permutation.dtype == np.int64
+
 
 class TestResidualSpectrum:
     def test_rank_one_zero_residual(self):

@@ -1,7 +1,10 @@
 import collections
+import copy
+import dataclasses
 import importlib
 import json
 import os
+import pickle
 import sys
 import threading
 import warnings
@@ -18,6 +21,7 @@ from permrow import (
     PermrowError,
     PermutationKind,
     ScenarioKind,
+    RiskSummary,
     ScenarioSpec,
     direct_sorting_extremes,
     empirical_risk,
@@ -351,6 +355,12 @@ class TestEmpiricalRisk:
         with pytest.raises(LengthMismatch):
             empirical_risk([1.0], [1.0, 2.0])
 
+    def test_empty_rejected(self):
+        with warnings.catch_warnings():  # no numpy warning on the way to the error
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^empirical_risk needs at least one entry$"):
+                empirical_risk([], [])
+
     @pytest.mark.parametrize(
         "scale", [2.0**600, 2.0**-600, 1e300, 1e-300], ids=["2^600", "2^-600", "1e300", "1e-300"]
     )
@@ -458,12 +468,12 @@ class TestMonteCarlo:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_monte_carlo(self.spec(sigma=1e200), estimators=("os",), reps=6)
-        assert report.failures == ()
-        summary = report.summary("os", "range")
-        scaled = np.ldexp(summary.risks, -665)  # exact; 2**665 is about 1e200
-        assert summary.std == pytest.approx(np.ldexp(scaled.std(ddof=1), 665), rel=1e-15)
-        assert summary.mean == pytest.approx(np.ldexp(scaled.mean(), 665), rel=1e-15)
-        assert summary.median == pytest.approx(np.median(summary.risks), rel=1e-15)
+            assert report.failures == ()
+            summary = report.summary("os", "range")
+            scaled = np.ldexp(summary.risks, -665)  # exact; 2**665 is about 1e200
+            assert summary.std == pytest.approx(np.ldexp(scaled.std(ddof=1), 665), rel=1e-15)
+            assert summary.mean == pytest.approx(np.ldexp(scaled.mean(), 665), rel=1e-15)
+            assert summary.median == pytest.approx(np.median(summary.risks), rel=1e-15)
 
     def test_irep_only_range(self):
         report = run_monte_carlo(
@@ -480,7 +490,7 @@ class TestMonteCarlo:
         report = run_monte_carlo(self.spec(sigma=0.5), reps=3)
         path = tmp_path / "risks.csv"
         report.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "estimator,target,replicate,risk"
         assert len(lines) == 1 + 3 * 3 * 3  # 3 estimators x 3 targets x 3 reps
 
@@ -507,6 +517,64 @@ class TestMonteCarlo:
             report = run_monte_carlo(spec, estimators=("spectral",), reps=40, threads=4)
             means.append(report.summary("spectral", "range").mean)
         assert means[1] < means[0]
+
+
+class TestRiskSummary:
+    """A summary stores its risk column; the statistics are read off it."""
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(RiskSummary)]
+        assert names == ["estimator", "target", "risks"]
+
+    def test_keeps_a_read_only_copy(self):
+        column = np.array([1.0, np.nan, 3.0])
+        summary = RiskSummary("spectral", "range", column)
+        column[0] = 100.0
+        assert summary.risks[0] == 1.0 and summary.mean == 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            summary.risks[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_stay_read_only(self, clone):
+        summary = RiskSummary("spectral", "range", [1.0, np.nan, 3.0])
+        assert summary.mean == 2.0
+        other = clone(summary)
+        assert not other.risks.flags.writeable
+        assert (other.estimator, other.target, other.mean) == ("spectral", "range", 2.0)
+        np.testing.assert_array_equal(other.risks, summary.risks)
+
+    def test_statistics_of_the_survivors(self):
+        risks = np.random.default_rng(62).uniform(0.5, 2.0, 9)
+        risks[[2, 5]] = np.nan
+        summary = RiskSummary("os", "thetaR", risks)
+        ok = risks[~np.isnan(risks)]  # in [2**-100, 2**100], so not rescaled
+        q1, median, q3 = np.percentile(ok, [25.0, 50.0, 75.0])
+        got = (summary.mean, summary.std, summary.q1, summary.median, summary.q3)
+        assert got == (ok.mean(), ok.std(ddof=1), q1, median, q3)
+        assert all(type(x) is float for x in got)
+
+    def test_one_survivor_and_none(self):
+        one = RiskSummary("os", "range", [np.nan, 0.25, np.nan])
+        assert (one.mean, one.std, one.q1, one.median, one.q3) == (0.25, 0.0, 0.25, 0.25, 0.25)
+        none = RiskSummary("os", "range", [np.nan, np.nan])
+        assert np.isnan([none.mean, none.std, none.q1, none.median, none.q3]).all()
+
+    def test_percentiles_computed_once_on_first_read(self, monkeypatch, tmp_path):
+        calls = []
+        percentile = np.percentile
+        monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(a) or percentile(*a, **k))
+        spec = ScenarioSpec(kind=ScenarioKind.S1, n=5, p=20, sigma=1.0, seed=3)
+        report = run_monte_carlo(spec, reps=4)
+        report.write_csv(tmp_path / "risks.csv")
+        assert calls == []
+        summary = report.summaries[0]
+        assert summary.median > 0.0
+        assert len(calls) == 1  # one call gives the three quartiles
+        assert np.isfinite([summary.mean, summary.std, summary.q1, summary.q3]).all()
+        assert len(calls) == 1
 
 
 class TestScenarioValidation:
@@ -743,7 +811,7 @@ def test_simulate_huge_sigma_loses_no_replicate(tmp_path, run_cli):
     out = tmp_path / "risk.csv"
     proc = run_cli("simulate", "--config", cfg, "--reps", 6, "--seed", 1, "--output", out)
     assert (proc.returncode, proc.stderr) == (0, "")
-    replicates = {line.split(",")[2] for line in out.read_text().splitlines()[1:]}
+    replicates = {line.split(",")[2] for line in out.read_text(encoding="utf-8").splitlines()[1:]}
     assert replicates == {str(r) for r in range(6)}
 
 

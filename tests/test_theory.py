@@ -192,8 +192,8 @@ class TestFeasibility:
 
 IDX = SignalIndices(t=5.0, beta_r=0.5, beta_l=0.5, sigma=1.0)
 
-
-@pytest.mark.parametrize(
+# every public function that takes n and p, called at (n, p)
+N_P_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda n, p: rate_psi(n, p),
@@ -203,6 +203,9 @@ IDX = SignalIndices(t=5.0, beta_r=0.5, beta_l=0.5, sigma=1.0)
     ],
     ids=["rate_psi", "classify_snr", "minimax_rate_extreme", "feasible_condition11"],
 )
+
+
+@N_P_CALLS
 @pytest.mark.parametrize(
     "n, p",
     [(10**400, 10), (10, 10**400), (-(10**400), 10), (10, math.inf), (10, math.nan)],
@@ -211,4 +214,15 @@ IDX = SignalIndices(t=5.0, beta_r=0.5, beta_l=0.5, sigma=1.0)
 def test_n_p_past_the_float_range_rejected(call, n, p):
     # an integer past the float range used to end in a bare OverflowError
     with pytest.raises(ValueError, match="^n and p must be finite and within the float range$"):
+        call(n, p)
+
+
+@N_P_CALLS
+@pytest.mark.parametrize(
+    "n, p, message",
+    [(0, 100, "n must be at least 1"), (10, 1, "p must be at least 2"), (-1, 100, "n must be at least 1")],
+    ids=["n-0", "p-1", "n--1"],
+)
+def test_n_below_1_or_p_below_2_rejected(call, n, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(n, p)
