@@ -4,15 +4,21 @@ Dialect is fixed: comma-separated, '.' decimal point, UTF-8, records ending
 in LF, CRLF or CR.  Numeric payloads are written with 12 significant digits,
 and sample ids are quoted where CSV requires it.
 
-A coverage table is read in two stages.  A plain numeric file is parsed in
-one ``np.loadtxt`` call over the value parts of its rows.  Every other file,
-and every file with an error, goes to the exact loader, which converts one
-record at a time so that an error names the first bad cell.  Both give the
-same ids and value bytes: loadtxt parses a number with
+A coverage table is read in two stages.  A plain numeric file is parsed by
+``np.loadtxt`` over the value parts of its rows, in two blocks of rows: this
+process parses the first half, and a child made with ``os.fork`` parses the
+second into a shared anonymous mmap, which then holds the table.  The child
+reads only the rows of its half, writes only their block of the mmap, and
+leaves with ``os._exit``; the parent always waits for it.  Where there is no
+``os.fork``, where the fork fails, or where other Python threads run, one
+block is parsed in this process.  Every other file, and every file with an
+error in either block, goes to the exact loader, which converts one record
+at a time so that an error names the first bad cell.  All give the same ids,
+value bytes and error messages: loadtxt parses each number on its own with
 ``PyOS_string_to_double``, as ``float()`` does, and the first stage declines
-the inputs on which the two differ.  Only a quoted record goes through
-``csv.reader``, so only a quoted field is held to its limit of 131072
-characters.
+the inputs on which the two differ.  Only a quoted
+record goes through ``csv.reader``, so only a quoted field is held to its
+limit of 131072 characters.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import mmap
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -90,8 +100,58 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 _NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
+def _parse_rows(lines: list[str], ids: list[str], p: int) -> np.ndarray:
+    """The value parts of ``lines`` as a len(ids) x p array, in one
+    ``np.loadtxt`` call; ValueError when they are not that."""
+    # one value part at a time, so that they are never all held at once
+    rests = (line[len(sample_id) + 1 :] for sample_id, line in zip(ids, lines))
+    values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
+    if values.shape != (len(ids), p):
+        raise ValueError(f"shape {values.shape}, expected {(len(ids), p)}")
+    return values
+
+
+def _parse_split(lines: list[str], ids: list[str], p: int) -> np.ndarray:
+    """``_parse_rows`` over all rows, the second half of them in a forked child.
+
+    The child parses rows [h, n) into a shared anonymous mmap, which then
+    holds the table, and leaves with ``os._exit``.  ValueError when either
+    half fails or the child does not exit 0.  One block, in this process,
+    where there is no ``os.fork``, where it fails, or where other Python
+    threads run: a lock one of them holds would stay held in the child.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None or threading.active_count() > 1:
+        return _parse_rows(lines, ids, p)
+    n, h = len(ids), len(ids) // 2
+    values = np.frombuffer(mmap.mmap(-1, n * p * 8), dtype=float).reshape(n, p)
+    try:
+        with warnings.catch_warnings():
+            # From Python 3.12 fork() warns in the parent, after the child
+            # exists, when the process has other OS threads (BLAS starts
+            # some).  Raised as an error, it would leave the child unreaped.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = fork()
+    except OSError:
+        return _parse_rows(lines, ids, p)
+    if pid == 0:
+        code = 1
+        try:
+            values[h:] = _parse_rows(lines[h:], ids[h:], p)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        values[:h] = _parse_rows(lines[:h], ids[:h], p)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise ValueError(f"the child parsing rows {h}..{n - 1} ended with wait status {status}")
+    return values
+
+
 def _load_plain_numeric(lines: list[str]) -> CoverageTable | None:
-    """The table parsed in one ``np.loadtxt`` call, or None for the exact loader.
+    """The table parsed by ``np.loadtxt``, or None for the exact loader.
 
     A table needs no quote and no U+001C..U+001F, at least 2 positions and 2
     rows, a comma and a non-blank value part on every row, distinct sample
@@ -110,13 +170,11 @@ def _load_plain_numeric(lines: list[str]) -> CoverageTable | None:
         ids.append(sample_id)
     if p < 2 or len(set(ids)) < len(ids):
         return None
-    # one value part at a time, so that they are never all held at once
-    rests = (line[len(sample_id) + 1 :] for sample_id, line in zip(ids, lines[1:]))
     try:
-        values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
+        values = _parse_split(lines[1:], ids, p)
     except ValueError:
         return None
-    if values.shape != (len(ids), p) or not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         return None
     return CoverageTable(sample_ids=tuple(ids), values=values)
 

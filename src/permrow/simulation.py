@@ -329,6 +329,12 @@ class RiskSummary:
     q3 = property(lambda self: self._stats[4])
 
 
+def _json_number(value: float) -> float | None:
+    """``value``, or None (JSON null) for NaN: the risk of a failed replicate,
+    or a statistic of a column whose every replicate failed."""
+    return None if np.isnan(value) else value
+
+
 @dataclass(frozen=True)
 class RiskReport:
     spec: ScenarioSpec
@@ -359,12 +365,12 @@ class RiskReport:
                 {
                     "estimator": s.estimator,
                     "target": s.target,
-                    "mean": s.mean,
-                    "std": s.std,
-                    "q1": s.q1,
-                    "median": s.median,
-                    "q3": s.q3,
-                    "risks": [None if np.isnan(r) else r for r in s.risks],
+                    "mean": _json_number(s.mean),
+                    "std": _json_number(s.std),
+                    "q1": _json_number(s.q1),
+                    "median": _json_number(s.median),
+                    "q3": _json_number(s.q3),
+                    "risks": [_json_number(r) for r in s.risks],
                 }
                 for s in self.summaries
             ],

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import os
+import signal
 import sys
 import tempfile
 import threading
@@ -241,6 +243,157 @@ def test_long_unquoted_cell_parses(tmp_path, other_id):
         write(tmp_path / "g.csv", f"sampleId,group,value\na,A,{LONG_NUMBER}\nb,B,2\n")
     )
     assert [(label, values.tolist()) for label, values in groups] == [("A", [1.0]), ("B", [2.0])]
+
+
+def split_text(n, p, seed=0):
+    """A plain numeric n x p table whose cells print with 17 digits."""
+    values = np.random.default_rng(seed).normal(scale=1e3, size=(n, p))
+    header = "sample," + ",".join(f"c{j}" for j in range(p)) + "\n"
+    return header + "".join(f"s{i}," + ",".join(map(repr, row.tolist())) + "\n"
+                            for i, row in enumerate(values))
+
+
+class TestSplitParse:
+    """The loadtxt stage parses the second half of the rows in a forked child.
+    Its outcome is the one-block parse's, and no child outlives a load."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children os.fork made, as the parent saw them."""
+        pids = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @staticmethod
+    def one_block(path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            return load_outcome(load_coverage_csv, path)
+
+    @pytest.mark.parametrize("n, p", [(2, 3), (3, 3), (4, 3), (5, 3), (2000, 50)])
+    def test_same_table_as_one_block(self, tmp_path, monkeypatch, forks, n, p):
+        path = write(tmp_path / "c.csv", split_text(n, p))
+        got = load_outcome(load_coverage_csv, path)
+        assert len(forks) == 1
+        assert got == self.one_block(path, monkeypatch)
+        assert got[:2] == (tuple(f"s{i}" for i in range(n)), (n, p))
+
+    # n = 4: the parent parses file rows 2 and 3, the child rows 4 and 5
+    @pytest.mark.parametrize("row", [3, 5], ids=["parent-half", "child-half"])
+    @pytest.mark.parametrize(
+        "defect, error, message",
+        [
+            ("abc", ParseError, "row {row}, column 3: cannot parse 'abc' as a number"),
+            ("inf", ParseError, "row {row}, column 3: non-finite value 'inf'"),
+            ("1e500", ParseError, "row {row}, column 3: non-finite value '1e500'"),
+            (None, DimensionMismatch, "row {row} has 3 fields, expected 4"),
+        ],
+        ids=["bad-cell", "non-finite", "overflow", "short-row"],
+    )
+    def test_error_in_either_half(self, tmp_path, forks, row, defect, error, message):
+        lines = split_text(4, 3).splitlines(keepends=True)
+        cells = lines[row - 1].rstrip("\n").split(",")
+        if defect is None:
+            del cells[-1]
+        else:
+            cells[2] = defect
+        lines[row - 1] = ",".join(cells) + "\n"
+        with pytest.raises(error) as err:
+            load_coverage_csv(write(tmp_path / "c.csv", "".join(lines)))
+        assert str(err.value) == message.format(row=row)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(2, [2]), (2, [3]), (4, [2, 3]), (4, [4, 5])],
+        ids=["n2-parent-half", "n2-child-half", "n4-parent-half", "n4-child-half"],
+    )
+    def test_half_of_one_value_rows(self, tmp_path, forks, n, rows):
+        """A half whose rows hold one value each parses as a block that numpy
+        would broadcast into the table; the shape check declines it."""
+        lines = split_text(n, 3).splitlines(keepends=True)
+        for row in rows:
+            lines[row - 1] = ",".join(lines[row - 1].split(",")[:2]) + "\n"
+        with pytest.raises(DimensionMismatch) as err:
+            load_coverage_csv(write(tmp_path / "c.csv", "".join(lines)))
+        assert str(err.value) == f"row {rows[0]} has 2 fields, expected 4"
+        assert len(forks) == 1
+
+    def test_fork_fails_or_is_missing(self, tmp_path, monkeypatch):
+        path = write(tmp_path / "c.csv", split_text(5, 4))
+        want = self.one_block(path, monkeypatch)
+
+        def failing_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert load_outcome(load_coverage_csv, path) == want
+
+    def test_other_threads_give_one_block(self, tmp_path, monkeypatch, forks):
+        path = write(tmp_path / "c.csv", split_text(5, 4))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = load_outcome(load_coverage_csv, path)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and forks == []
+        assert got == self.one_block(path, monkeypatch)
+
+    def test_fork_warning_in_the_parent_is_not_raised(self, tmp_path, monkeypatch, forks):
+        """From Python 3.12 fork() warns in the parent, after the child exists,
+        when the process has other OS threads; as an error it would leave the
+        child unreaped."""
+        path = write(tmp_path / "c.csv", split_text(5, 4))
+        counting_fork = os.fork
+
+        def warning_fork():
+            pid = counting_fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead "
+                              "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_outcome(load_coverage_csv, path)
+        assert len(forks) == 1
+        assert got == self.one_block(path, monkeypatch)
+
+    def test_child_killed_goes_to_the_exact_loader(self, tmp_path, monkeypatch, forks):
+        path = write(tmp_path / "c.csv", split_text(5, 4))
+        want = self.one_block(path, monkeypatch)
+        counting_fork = os.fork
+
+        def dying_fork():
+            pid = counting_fork()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid
+
+        exact = permrow_io._load_exact
+        calls = []
+        monkeypatch.setattr(os, "fork", dying_fork)
+        monkeypatch.setattr(permrow_io, "_load_exact", lambda lines: calls.append(1) or exact(lines))
+        assert load_outcome(load_coverage_csv, path) == want
+        assert len(forks) == 1 and calls == [1]
 
 
 LONG_QUOTED = '"' + "1" * 200000 + '"'

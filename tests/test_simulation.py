@@ -562,6 +562,21 @@ class TestRiskSummary:
         none = RiskSummary("os", "range", [np.nan, np.nan])
         assert np.isnan([none.mean, none.std, none.q1, none.median, none.q3]).all()
 
+    def test_report_json_strict_when_every_replicate_failed(self):
+        """The NaN statistics of an all-failed column are written as null."""
+
+        def reject(constant):
+            raise AssertionError(f"bare {constant} in the report JSON")
+
+        # a_i is 0 or 5e-324, so the one replicate has a zero centred matrix
+        spec = ScenarioSpec(kind=ScenarioKind.S1, n=2, p=5, alpha=5e-324, sigma=0.0, seed=1)
+        report = run_monte_carlo(spec, ("spectral",), reps=1)
+        assert report.failed_replicates == (0,)
+        doc = json.loads(report.to_json(), parse_constant=reject)
+        for summary in doc["summaries"]:
+            stats = [summary[name] for name in ("mean", "std", "q1", "median", "q3")]
+            assert stats == [None] * 5 and summary["risks"] == [None]
+
     def test_percentiles_computed_once_on_first_read(self, monkeypatch, tmp_path):
         calls = []
         percentile = np.percentile
