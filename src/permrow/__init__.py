@@ -33,7 +33,6 @@ from .estimators import (
 from .io import CoverageTable, load_coverage_csv, write_estimates_csv
 from .matrix import (
     CenteredMatrix,
-    Ranking,
     SignConvention,
     SingularTriple,
     center_rows,

@@ -1,11 +1,11 @@
 """Extreme-column and range estimators.
 
 The spectral estimator projects each row onto the leading right singular
-direction v of the row-centered matrix and reads off the extreme scores; the
-regression form fits per-row least squares on v, read at its extremes.  A
-least-squares fit does not depend on the order of its pairs, so that fit
-needs no sort by the recovered permutation.  Direct sorting, rowwise order
-statistics, and a sort-trim-OLS proxy for iRep serve as baselines.
+direction v of the row-centered matrix and reads off the extreme scores.
+The paper's two-step regression form, a per-row least-squares fit on v read
+at its extremes, is that same readout (see ``regression_extremes``).
+Direct sorting, rowwise order statistics, and a sort-trim-OLS proxy for
+iRep serve as baselines.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InsufficientColumns, NonFiniteEstimate
 from .matrix import (
     CenteredMatrix,
-    Ranking,
     SignConvention,
     SingularTriple,
     _as_matrix,
@@ -44,26 +43,17 @@ class ExtremeEstimates:
     """Per-sample extreme-column and range estimates.
 
     ``range`` always equals ``theta_r - theta_l`` as computed, when both
-    extremes are defined.  SVD-free methods (order statistic, iRep) carry
-    ``None`` for the spectral fields.
+    extremes are defined.  ``permutation_hat`` is the 0-based int64 column
+    order of the scores ``triple.v``, ties broken left to right.  SVD-free
+    methods (order statistic, iRep) carry ``None`` for the spectral fields.
     """
 
     theta_r: np.ndarray | None
     theta_l: np.ndarray | None
     range: np.ndarray
-    permutation_hat: Ranking | None
+    permutation_hat: np.ndarray | None
     method: EstimatorMethod
     triple: SingularTriple | None
-
-    @property
-    def v_max(self) -> float | None:
-        """The largest score, v_(p); None without a triple."""
-        return None if self.triple is None else float(self.triple.v.max())
-
-    @property
-    def v_min(self) -> float | None:
-        """The smallest score, v_(1); None without a triple."""
-        return None if self.triple is None else float(self.triple.v.min())
 
 
 @dataclass(frozen=True)
@@ -71,16 +61,16 @@ class _SpectralContext:
     y: np.ndarray
     centered: CenteredMatrix
     triple: SingularTriple
-    ranking: Ranking
+    order: np.ndarray
 
     def estimates(self, method: EstimatorMethod, theta_r, theta_l) -> ExtremeEstimates:
         """``method``'s estimates, with range = theta_r - theta_l and this
-        context's ranking and triple."""
+        context's order and triple."""
         return ExtremeEstimates(
             theta_r=theta_r,
             theta_l=theta_l,
             range=theta_r - theta_l,
-            permutation_hat=self.ranking,
+            permutation_hat=self.order,
             method=method,
             triple=self.triple,
         )
@@ -90,37 +80,27 @@ def _spectral_context(
     y, convention: SignConvention = SignConvention.ROW_MAJORITY, out=None
 ) -> _SpectralContext:
     """The centered matrix (written into ``out``, as ``center_rows`` takes
-    it), its leading triple and the ranking of v."""
+    it), its leading triple and the order of v."""
     values = np.asarray(y, dtype=float)
     centered = center_rows(values, out=out)  # validates shape and finiteness
     triple = leading_singular_triple(centered, convention=convention)
     return _SpectralContext(
-        y=values, centered=centered, triple=triple, ranking=rank_vector(triple.v)
+        y=values, centered=centered, triple=triple, order=rank_vector(triple.v)
     )
 
 
-def _spectral_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
+def _spectral_from_context(
+    ctx: _SpectralContext, method: EstimatorMethod = EstimatorMethod.SPECTRAL
+) -> ExtremeEstimates:
     v = ctx.triple.v
     xv = ctx.triple.lam * ctx.triple.u
     theta_r = float(v.max()) * xv + ctx.centered.row_means
     theta_l = float(v.min()) * xv + ctx.centered.row_means
-    return ctx.estimates(EstimatorMethod.SPECTRAL, theta_r, theta_l)
-
-
-def _regression_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
-    # the OLS slope of Y's rows on v, from the centred Y and its row means
-    v = ctx.triple.v
-    m = float(v.mean())
-    c = v - m
-    beta = ctx.centered.values @ c / float(c @ c)
-    alpha = ctx.centered.row_means - beta * m
-    theta_r = alpha + beta * float(v.max())
-    theta_l = alpha + beta * float(v.min())
-    return ctx.estimates(EstimatorMethod.REGRESSION, theta_r, theta_l)
+    return ctx.estimates(method, theta_r, theta_l)
 
 
 def _direct_sorting_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
-    order = ctx.ranking.order
+    order = ctx.order
     theta_r = ctx.y[:, order[-1]].copy()
     theta_l = ctx.y[:, order[0]].copy()
     return ctx.estimates(EstimatorMethod.DIRECT_SORTING, theta_r, theta_l)
@@ -136,14 +116,14 @@ def spectral_extremes(
 def regression_extremes(
     y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> ExtremeEstimates:
-    """Two-step form: per-row OLS of Y on the scores v, read at v_(p) and v_(1).
+    """The paper's two-step form: per-row OLS of Y on the scores v, read at
+    v_(p) and v_(1), labelled REGRESSION.
 
-    The paper sorts the columns by the recovered permutation first; the fit
-    does not depend on the order of the (score, value) pairs, so none is
-    sorted.  With c = v - mean(v) the slope is X c / (c . c); v is a unit
-    vector orthogonal to e (X's rows sum to zero), so c . c is 1 and X c is
-    Xv up to rounding, and the estimates agree with ``spectral_extremes``."""
-    return _regression_from_context(_spectral_context(y, convention))
+    With c = v - mean(v) the OLS slope is X c / (c . c) and the intercept
+    the row means less slope * mean(v).  v is a unit vector orthogonal to e
+    (X's rows sum to zero), so mean(v) = 0, c . c = 1 and X c = Xv = lam u:
+    the fit is the spectral readout, which is what runs here."""
+    return _spectral_from_context(_spectral_context(y, convention), EstimatorMethod.REGRESSION)
 
 
 def direct_sorting_extremes(

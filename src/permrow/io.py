@@ -100,11 +100,21 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 _NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
+def _value_parts(lines: list[str], ids: list[str]) -> Iterator[str]:
+    """Each line's value part, one at a time, so that they are never all held
+    at once; ValueError at the first that is blank, on which loadtxt would
+    warn of no data."""
+    for sample_id, line in zip(ids, lines):
+        rest = line[len(sample_id) + 1 :]
+        if not rest or rest.isspace():
+            raise ValueError("a row has no values")
+        yield rest
+
+
 def _parse_rows(lines: list[str], ids: list[str], p: int) -> np.ndarray:
     """The value parts of ``lines`` as a len(ids) x p array, in one
     ``np.loadtxt`` call; ValueError when they are not that."""
-    # one value part at a time, so that they are never all held at once
-    rests = (line[len(sample_id) + 1 :] for sample_id, line in zip(ids, lines))
+    rests = _value_parts(lines, ids)
     values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
     if values.shape != (len(ids), p):
         raise ValueError(f"shape {values.shape}, expected {(len(ids), p)}")
@@ -164,10 +174,10 @@ def _load_plain_numeric(lines: list[str]) -> CoverageTable | None:
     p = lines[0].count(",")
     ids = []
     for line in lines[1:]:
-        sample_id, comma, rest = line.partition(",")
-        if not comma or not rest or rest.isspace():
+        comma = line.find(",")
+        if comma < 0:
             return None
-        ids.append(sample_id)
+        ids.append(line[:comma])
     if p < 2 or len(set(ids)) < len(ids):
         return None
     try:

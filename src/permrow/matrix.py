@@ -1,6 +1,6 @@
 """Dense-matrix primitives.
 
-Row centering, ranking/permutation machinery, the leading singular triple
+Row centering, the ascending order of a vector, the leading singular triple
 of the centered matrix, and the residual spectrum of a matrix.  The last two
 share one solve, the top k eigenpairs of the Gram matrix on the smaller side:
 LAPACK dsyevr of numpy's OpenBLAS, or ``np.linalg.eigh`` where that is not found.
@@ -73,30 +73,6 @@ class SingularTriple:
     def multiplicity_warning(self) -> bool:
         """Whether ``lam2`` is within tol*lam of ``lam``: the direction is then ambiguous."""
         return (self.lam - self.lam2) <= DEFAULT_TOL * self.lam
-
-
-@dataclass(frozen=True)
-class Ranking:
-    """The ascending order of a vector, ties broken left to right.
-
-    ``order`` is the 0-based int64 column order: ``order[k]`` holds the
-    (k+1)-th smallest entry.  ``ranks`` and ``inverse_permutation`` are the
-    1-based ranking-operator forms derived from it: ``ranks`` assigns 1 to
-    the smallest entry, and ``inverse_permutation[k-1]`` is the (1-based)
-    index holding rank k, so that ``ranks[inverse_permutation[k-1] - 1] == k``.
-    """
-
-    order: np.ndarray
-
-    @property
-    def ranks(self) -> np.ndarray:
-        ranks = np.empty(self.order.size, dtype=np.int64)
-        ranks[self.order] = np.arange(1, self.order.size + 1)
-        return ranks
-
-    @property
-    def inverse_permutation(self) -> np.ndarray:
-        return self.order + 1
 
 
 def _as_matrix(values, name: str = "matrix", min_rows: int = 2) -> np.ndarray:
@@ -305,14 +281,16 @@ def leading_singular_triple(
     )
 
 
-def rank_vector(x) -> Ranking:
-    """Ascending ranks, ties broken left to right."""
+def rank_vector(x) -> np.ndarray:
+    """The ascending order of a vector, ties broken left to right: its
+    0-based int64 stable argsort, whose entry k indexes the (k+1)-th
+    smallest value."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("rank_vector expects a nonempty 1-d vector")
     if not np.isfinite(v).all():
         raise NonFiniteInput("vector contains NaN or infinite entries")
-    return Ranking(order=np.argsort(v, kind="stable").astype(np.int64, copy=False))
+    return np.argsort(v, kind="stable").astype(np.int64, copy=False)
 
 
 def residual_spectrum(x, k: int) -> tuple[float, float]:

@@ -44,7 +44,6 @@ from .errors import InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFinit
 from .estimators import (
     EstimatorMethod,
     _direct_sorting_from_context,
-    _regression_from_context,
     _spectral_context,
     _spectral_from_context,
     irep_range,
@@ -443,9 +442,10 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
+# regression is the spectral readout under its own label, which risks do not read
 _FROM_CONTEXT = {
     "spectral": _spectral_from_context,
-    "regression": _regression_from_context,
+    "regression": _spectral_from_context,
     "ds": _direct_sorting_from_context,
 }
 

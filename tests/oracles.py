@@ -72,13 +72,9 @@ def jacobi_eigh(a: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
     return np.diag(a)[order], vecs[:, order]
 
 
-def rank_oracle(x: np.ndarray) -> np.ndarray:
-    """1-based ranks by lexicographic (value, index) sort."""
-    pairs = sorted((value, index) for index, value in enumerate(x))
-    ranks = np.empty(len(x), dtype=np.int64)
-    for rank, (_, index) in enumerate(pairs, start=1):
-        ranks[index] = rank
-    return ranks
+def order_oracle(x: np.ndarray) -> list[int]:
+    """0-based ascending order by lexicographic (value, index) sort."""
+    return [index for _, index in sorted((value, index) for index, value in enumerate(x))]
 
 
 def exact_ols_slope(x_values, y_values) -> Fraction:
@@ -97,11 +93,11 @@ def regression_two_step(
     y, convention: SignConvention = SignConvention.ROW_MAJORITY
 ) -> tuple[np.ndarray, np.ndarray]:
     """The paper's two-step regression estimate (theta_r, theta_l): Y's
-    columns sorted by the ranking of the spectral scores v, each row
+    columns sorted by the order of the spectral scores v, each row
     centred again and fit by OLS on the sorted scores, read at the last
     and first of them."""
     spec = spectral_extremes(y, convention)
-    order = spec.permutation_hat.order
+    order = spec.permutation_hat
     scores = spec.triple.v[order]
     y_sorted = np.asarray(y, dtype=float)[:, order]
     m = float(scores.mean())

@@ -95,7 +95,7 @@ def test_criterion_2_noiseless_exact_recovery():
         ok = ok and np.abs(est.theta_r - theta[:, -1]).max() <= 1e-10 * scale
         ok = ok and np.abs(est.theta_l - theta[:, 0]).max() <= 1e-10 * scale
         ok = ok and np.abs(est.range - (theta[:, -1] - theta[:, 0])).max() <= 1e-10 * scale
-        ok = ok and np.array_equal(est.permutation_hat.order, pi)
+        ok = ok and np.array_equal(est.permutation_hat, pi)
         if not ok:
             break
     elapsed = time.perf_counter() - start

@@ -42,7 +42,7 @@ class TestSpectralExtremes:
         np.testing.assert_allclose(est.theta_r, [1.0, 2.0], atol=1e-10)
         np.testing.assert_allclose(est.theta_l, [-1.0, -2.0], atol=1e-10)
         np.testing.assert_allclose(est.range, [2.0, 4.0], atol=1e-10)
-        np.testing.assert_array_equal(est.permutation_hat.inverse_permutation, [1, 2, 3])
+        np.testing.assert_array_equal(est.permutation_hat, [0, 1, 2])
 
     def test_constant_rows_raise(self):
         with pytest.raises(ZeroMatrixError):
@@ -56,7 +56,7 @@ class TestSpectralExtremes:
         np.testing.assert_allclose(est_p.theta_l, est.theta_l, atol=1e-10)
         np.testing.assert_allclose(est_p.range, est.range, atol=1e-10)
         # recovered order maps observed columns back to the original order
-        np.testing.assert_allclose(Y0[:, perm][:, est_p.permutation_hat.order], Y0, atol=1e-12)
+        np.testing.assert_allclose(Y0[:, perm][:, est_p.permutation_hat], Y0, atol=1e-12)
 
     def test_noiseless_exact_recovery_with_permutation(self):
         rng = np.random.default_rng(50)
@@ -73,7 +73,7 @@ class TestSpectralExtremes:
             np.testing.assert_allclose(est.theta_r, theta[:, -1], rtol=0, atol=1e-9)
             np.testing.assert_allclose(est.theta_l, theta[:, 0], rtol=0, atol=1e-9)
             # order statistic k of the scores sits at observed position pi(k)
-            np.testing.assert_array_equal(est.permutation_hat.order, pi)
+            np.testing.assert_array_equal(est.permutation_hat, pi)
 
 
 class TestRegressionEquivalence:
@@ -94,6 +94,23 @@ class TestRegressionEquivalence:
             assert np.abs(reg.theta_r - spec.theta_r).max() <= tol
             assert np.abs(reg.theta_l - spec.theta_l).max() <= tol
             assert np.abs(reg.range - spec.range).max() <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SHAPES)
+    def test_is_the_spectral_readout_bit_for_bit(self, n, p, seed, noise, exponent):
+        """Only the label differs: the same estimates, order and triple."""
+
+        def parts(est):
+            t = est.triple
+            return (est.theta_r, est.theta_l, est.range, est.permutation_hat,
+                    t.lam, t.u, t.v, t.lam2, t.residual)
+
+        y = gapped_matrix(n, p, seed, noise, exponent)
+        spec = spectral_extremes(y)
+        reg = regression_extremes(y)
+        assert (spec.method, reg.method) == (EstimatorMethod.SPECTRAL, EstimatorMethod.REGRESSION)
+        for got, want in zip(map(np.asarray, parts(reg)), map(np.asarray, parts(spec))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_matches_two_step_oracle(self):
         # the fit on v in observed order equals the sort-then-fit of the paper
@@ -208,12 +225,13 @@ class TestIrep:
         est = irep_extremes(y, trim_fraction=0.1)
         np.testing.assert_array_equal(est.range, irep_range(y, trim_fraction=0.1))
         assert est.method is EstimatorMethod.IREP
-        assert (est.theta_r, est.theta_l, est.v_max, est.v_min) == (None,) * 4
+        assert (est.theta_r, est.theta_l) == (None, None)
         assert est.permutation_hat is None and est.triple is None
 
 
-class TestScoreExtremes:
-    """v_max and v_min are read off the triple, not stored beside it."""
+class TestScoreOrder:
+    """``permutation_hat`` is the order of the triple's scores, stored as
+    the int64 array; the extreme scores are read off ``triple.v``."""
 
     def test_stored_fields(self):
         names = [f.name for f in dataclasses.fields(ExtremeEstimates)]
@@ -225,14 +243,15 @@ class TestScoreExtremes:
     def test_read_off_the_triple_and_kept_by_replace(self, estimator):
         est = estimator(random_growth_observation(np.random.default_rng(59)))
         v = est.triple.v
-        order = est.permutation_hat.order
-        assert (est.v_max, est.v_min) == (v[order[-1]], v[order[0]]) == (v.max(), v.min())
-        assert type(est.v_max) is float and type(est.v_min) is float
-        # the replace that ``estimate --exp`` makes keeps the triple, so the scores too
+        order = est.permutation_hat
+        assert type(order) is np.ndarray and order.dtype == np.int64
+        np.testing.assert_array_equal(order, np.argsort(v, kind="stable"))
+        assert (v[order[-1]], v[order[0]]) == (v.max(), v.min())
+        # the replace that ``estimate --exp`` makes keeps the order and the triple
         exp = dataclasses.replace(
             est, theta_r=np.exp(est.theta_r), theta_l=np.exp(est.theta_l), range=np.exp(est.range)
         )
-        assert (exp.v_max, exp.v_min) == (est.v_max, est.v_min)
+        assert exp.permutation_hat is order and exp.triple is est.triple
 
     @pytest.mark.parametrize(
         "estimator", [order_statistic_extremes, lambda y: irep_extremes(y, trim_fraction=0.1)],
@@ -240,28 +259,30 @@ class TestScoreExtremes:
     )
     def test_none_without_a_triple(self, estimator):
         est = estimator(random_growth_observation(np.random.default_rng(60)))
-        assert est.triple is None
-        assert (est.v_max, est.v_min) == (None, None)
+        assert est.triple is None and est.permutation_hat is None
         exp = dataclasses.replace(est, range=np.exp(est.range))
-        assert (exp.v_max, exp.v_min) == (None, None)
+        assert exp.triple is None and exp.permutation_hat is None
 
 
 @pytest.mark.parametrize(
     "read, method",
     [
         (estimators._spectral_from_context, EstimatorMethod.SPECTRAL),
-        (estimators._regression_from_context, EstimatorMethod.REGRESSION),
+        (
+            lambda ctx: estimators._spectral_from_context(ctx, EstimatorMethod.REGRESSION),
+            EstimatorMethod.REGRESSION,
+        ),
         (estimators._direct_sorting_from_context, EstimatorMethod.DIRECT_SORTING),
     ],
     ids=["spectral", "regression", "ds"],
 )
 def test_spectral_family_built_on_the_context(read, method):
-    """The readouts of one context share its ranking and triple, and each
+    """The readouts of one context share its order and triple, and each
     range is its theta_r - theta_l."""
     ctx = estimators._spectral_context(random_growth_observation(np.random.default_rng(61)))
     est = read(ctx)
     assert est.method is method
-    assert est.permutation_hat is ctx.ranking and est.triple is ctx.triple
+    assert est.permutation_hat is ctx.order and est.triple is ctx.triple
     np.testing.assert_array_equal(est.range, est.theta_r - est.theta_l)
 
 
@@ -335,5 +356,6 @@ class TestSharedInvariants:
         est = estimator(y)
         np.testing.assert_array_equal(est.range, est.theta_r - est.theta_l)
         assert est.theta_r is not None
-        if est.v_max is not None:
-            assert est.v_min <= est.v_max
+        if est.triple is not None:
+            v, order = est.triple.v, est.permutation_hat
+            assert v[order[0]] <= v[order[-1]]

@@ -333,6 +333,25 @@ class TestSplitParse:
         assert str(err.value) == f"row {rows[0]} has 2 fields, expected 4"
         assert len(forks) == 1
 
+    @pytest.mark.parametrize(
+        "rows, rest",
+        [([3], " \t "), ([5], " "), ([2, 3], ""), ([4, 5], "")],
+        ids=["parent-half", "child-half", "parent-half-blank", "child-half-blank"],
+    )
+    def test_blank_value_part_in_either_half(self, tmp_path, forks, rows, rest):
+        """A row with no values fails its block before loadtxt sees it, so no
+        all-blank block makes loadtxt warn of no data."""
+        lines = split_text(4, 3).splitlines(keepends=True)
+        for row in rows:
+            lines[row - 1] = lines[row - 1].split(",")[0] + "," + rest + "\n"
+        path = write(tmp_path / "c.csv", "".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch) as err:
+                load_coverage_csv(path)
+        assert str(err.value) == f"row {rows[0]} has 2 fields, expected 4"
+        assert len(forks) == 1
+
     def test_fork_fails_or_is_missing(self, tmp_path, monkeypatch):
         path = write(tmp_path / "c.csv", split_text(5, 4))
         want = self.one_block(path, monkeypatch)

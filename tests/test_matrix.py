@@ -20,7 +20,7 @@ from permrow import (
     spectral_extremes,
 )
 from permrow import matrix
-from oracles import centering_oracle, jacobi_eigh, rank_oracle
+from oracles import centering_oracle, jacobi_eigh, order_oracle
 from strategies import SHAPES, gapped_matrix
 
 RANK_ONE = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0]])
@@ -428,41 +428,33 @@ def test_column_permutation_invariance(n, p, seed, noise, exponent, perm_seed):
 
 class TestRankVector:
     def test_basic(self):
-        r = rank_vector([0.3, 0.1, 0.2])
-        np.testing.assert_array_equal(r.ranks, [3, 1, 2])
-        np.testing.assert_array_equal(r.inverse_permutation, [2, 3, 1])
+        np.testing.assert_array_equal(rank_vector([0.3, 0.1, 0.2]), [1, 2, 0])
 
     def test_ties_left_to_right(self):
-        r = rank_vector([1.0, 1.0, 2.0])
-        np.testing.assert_array_equal(r.ranks, [1, 2, 3])
+        np.testing.assert_array_equal(rank_vector([1.0, 1.0, 2.0]), [0, 1, 2])
+        np.testing.assert_array_equal(rank_vector([2.0, 1.0, 1.0]), [1, 2, 0])
 
-    def test_group_inverse(self):
+    def test_is_a_sorting_permutation(self):
         rng = np.random.default_rng(31)
         x = rng.integers(0, 40, size=120).astype(float)
-        r = rank_vector(x)
-        assert sorted(r.ranks) == list(range(1, 121))
-        np.testing.assert_array_equal(r.ranks[r.inverse_permutation - 1], np.arange(1, 121))
+        order = rank_vector(x)
+        assert sorted(order) == list(range(120))
+        assert (np.diff(x[order]) >= 0).all()
 
     def test_against_sort_oracle(self):
         rng = np.random.default_rng(32)
         x = rng.integers(0, 50, size=200).astype(float)
-        r = rank_vector(x)
-        np.testing.assert_array_equal(r.ranks, rank_oracle(x))
+        np.testing.assert_array_equal(rank_vector(x), order_oracle(x))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
             rank_vector([1.0, np.nan])
 
-    def test_stored_fields(self):
-        assert [f.name for f in dataclasses.fields(matrix.Ranking)] == ["order"]
-
-    def test_order_is_the_stable_argsort_and_the_rest_derive_from_it(self):
+    def test_order_is_the_int64_stable_argsort(self):
         x = np.random.default_rng(33).integers(0, 20, size=60).astype(float)
-        r = rank_vector(x)
-        np.testing.assert_array_equal(r.order, np.argsort(x, kind="stable"))
-        np.testing.assert_array_equal(r.inverse_permutation, r.order + 1)
-        np.testing.assert_array_equal(r.ranks, rank_oracle(x))
-        assert r.order.dtype == r.ranks.dtype == r.inverse_permutation.dtype == np.int64
+        order = rank_vector(x)
+        assert type(order) is np.ndarray and order.dtype == np.int64
+        np.testing.assert_array_equal(order, np.argsort(x, kind="stable"))
 
 
 class TestResidualSpectrum:

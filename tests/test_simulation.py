@@ -405,6 +405,16 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(s1.risks, s2.risks)
         assert r1.to_json() == r2.to_json()
 
+    @pytest.mark.parametrize("n, p", [(8, 40), (30, 12)], ids=["n<p", "n>p"])
+    @pytest.mark.parametrize("kind", [ScenarioKind.S1, ScenarioKind.S2])
+    def test_regression_risks_are_the_spectral_risks(self, kind, n, p):
+        report = run_monte_carlo(
+            self.spec(kind=kind, n=n, p=p, sigma=1.0), estimators=("spectral", "regression"), reps=6
+        )
+        for target in simulation.TARGETS:
+            want = report.summary("spectral", target).risks
+            assert report.summary("regression", target).risks.tobytes() == want.tobytes()
+
     def test_thread_count_irrelevant(self):
         spec = self.spec(sigma=0.5)
         r1 = run_monte_carlo(spec, reps=8, threads=1)
