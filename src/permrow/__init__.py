@@ -16,9 +16,7 @@ from .errors import (
     NumericalDegeneracyError,
     ParseError,
     PermrowError,
-    UncenteredEta,
     ZeroMatrixError,
-    ZeroSignal,
 )
 from .estimators import (
     EstimatorMethod,
@@ -69,9 +67,9 @@ from .theory import (
     SnrRegime,
     classify_snr,
     feasible_condition11,
-    linear_signal_indices,
     minimax_rate_extreme,
     rate_psi,
+    signal_indices,
 )
 
 __version__ = "0.1.0"

@@ -29,10 +29,6 @@ class InsufficientColumns(InputError):
     """Too few columns remain after trimming to fit a slope."""
 
 
-class UncenteredEta(InputError):
-    """A position vector that must sum to zero does not."""
-
-
 class DuplicateSampleId(InputError):
     """A coverage table repeats a sample identifier."""
 
@@ -69,10 +65,6 @@ class GramOverflow(NumericalDegeneracyError):
 
 class NonFiniteEstimate(NumericalDegeneracyError):
     """An estimate of finite input overflowed to an infinite or NaN value."""
-
-
-class ZeroSignal(NumericalDegeneracyError):
-    """Slope or position vector has zero norm; signal indices are undefined."""
 
 
 class DegenerateVariance(NumericalDegeneracyError):

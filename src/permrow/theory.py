@@ -12,10 +12,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .errors import UncenteredEta, ZeroSignal
-from .matrix import DEFAULT_TOL
+from .matrix import center_rows, leading_singular_triple
 
 
 class SnrRegime(Enum):
@@ -29,8 +26,7 @@ class SignalIndices:
     """Global signal strength t, extreme-component bounds, and noise scale.
 
     ``beta_r`` bounds the largest component of the leading right singular
-    vector and ``beta_l`` the negated smallest one; both sit in (0, 1] and
-    are at least p^{-1/2} when derived from a unit vector of length p.
+    vector and ``beta_l`` the negated smallest one; both must lie in [0, 1].
     """
 
     t: float
@@ -117,24 +113,20 @@ def classify_snr(t: float, sigma: float, n: int, p: int) -> SnrRegime:
     return SnrRegime.STRONG
 
 
-def linear_signal_indices(a, eta, sigma: float) -> SignalIndices:
-    """Indices of a linear growth signal: t = ||a|| ||eta||,
-    beta_r = eta_p / ||eta||, beta_l = -eta_1 / ||eta||."""
-    a = np.asarray(a, dtype=float).ravel()
-    eta = np.asarray(eta, dtype=float).ravel()
-    if np.any(np.diff(eta) < 0):
-        raise ValueError("eta must be nondecreasing")
-    if abs(float(eta.sum())) > DEFAULT_TOL * max(1.0, float(np.abs(eta).sum())):
-        raise UncenteredEta("eta components must sum to zero")
-    eta_norm = float(np.linalg.norm(eta))
-    a_norm = float(np.linalg.norm(a))
-    if eta_norm == 0.0 or a_norm == 0.0:
-        raise ZeroSignal("a and eta must both have positive norm")
+def signal_indices(theta, sigma: float) -> SignalIndices:
+    """Indices of a noiseless signal Theta, read off the leading singular
+    triple of its row-centred matrix: t = lam, beta_r = max v and
+    beta_l = -min v, with the row-majority sign that the estimators use.
+
+    For Theta = a eta^T + b with nondecreasing eta, write e = eta - mean(eta):
+    when sum(a) > 0 this gives t = ||a|| ||e||, beta_r = e_p / ||e|| and
+    beta_l = -e_1 / ||e||.  When sum(a) < 0 the sign points v against eta,
+    so beta_r and beta_l swap, as the estimators read theta_R at max v.
+    A constant Theta raises ZeroMatrixError.
+    """
+    triple = leading_singular_triple(center_rows(theta))
     return SignalIndices(
-        t=a_norm * eta_norm,
-        beta_r=float(eta[-1]) / eta_norm,
-        beta_l=-float(eta[0]) / eta_norm,
-        sigma=sigma,
+        t=triple.lam, beta_r=float(triple.v.max()), beta_l=-float(triple.v.min()), sigma=sigma
     )
 
 

@@ -24,13 +24,19 @@ from permrow import (
     center_rows,
     classify_snr,
     f_test_oneway,
+    generate_s1,
+    generate_s2,
     leading_singular_triple,
     minimax_rate_extreme,
     rate_psi,
     regression_extremes,
+    rng_stream,
     run_monte_carlo,
+    signal_indices,
     spectral_extremes,
+    synthesize_observation,
     t_test_two_sample,
+    trial_seed,
 )
 from permrow.cli import main
 
@@ -176,7 +182,7 @@ def test_criterion_5_simulation_replication():
     # ratio and the spectral mean fall strictly as n, and with it
     # t^2 / (sigma^2 sqrt(np)), grows.
     start = time.perf_counter()
-    alpha, sigma, p = 3.0, 1.0, 1000
+    alpha, sigma, p, seed = 3.0, 1.0, 1000, 20260823
     failures = []
     details = []
     s1_ratios = []
@@ -190,16 +196,22 @@ def test_criterion_5_simulation_replication():
                 alpha=alpha,
                 sigma=sigma,
                 permutation=PermutationKind.UNIFORM_RANDOM,
-                seed=20260823,
+                seed=seed,
             )
             report = run_monte_carlo(
                 spec, estimators=("spectral", "ds", "os"), reps=200, threads=4
             )
             s, d, o = (report.summary(e, "range").median for e in ("spectral", "ds", "os"))
+            # the regime of t read off replicate 0's noiseless signal
+            generate = generate_s1 if kind is ScenarioKind.S1 else generate_s2
+            rng = rng_stream(trial_seed(seed, 0))
+            theta = synthesize_observation(generate(n, p, alpha, rng), 0.0, None, rng)
+            t = signal_indices(theta, sigma).t
             cell = f"{kind.value} n={n}"
             line = (
                 f"{cell}: spectral {s:.3f} {_relation(s, d)} ds {d:.3f} "
-                f"{_relation(d, o)} os {o:.3f}"
+                f"{_relation(d, o)} os {o:.3f} (t {t:.2f}, "
+                f"{classify_snr(t, sigma, n, p).value}"
             )
             if kind is ScenarioKind.S2:
                 if not s < d < o:
@@ -209,13 +221,10 @@ def test_criterion_5_simulation_replication():
                     failures.append(f"{cell} ds < os")
                 if not s < o:
                     failures.append(f"{cell} spectral < os")
-                # population t = ||a|| ||eta|| with E a_i^2 = alpha^2 / 3, ||eta||^2 = 2
-                t = alpha * math.sqrt(2.0 * n / 3.0)
-                regime = classify_snr(t, sigma, n, p)
                 s1_ratios.append(s / d)
                 s1_means.append(report.summary("spectral", "range").mean)
-                line += f" ({regime.value}, spectral/ds {s / d:.3f})"
-            details.append(line)
+                line += f", spectral/ds {s / d:.3f}"
+            details.append(line + ")")
     if not _strictly_falling(s1_ratios):
         failures.append("S1 spectral/ds median ratio strictly falling in n")
     if not _strictly_falling(s1_means):

@@ -2,20 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permrow import (
     SignalIndices,
     SnrRegime,
-    UncenteredEta,
-    ZeroSignal,
+    ZeroMatrixError,
     center_rows,
     classify_snr,
     feasible_condition11,
+    generate_s2,
     leading_singular_triple,
-    linear_signal_indices,
     minimax_rate_extreme,
     rate_psi,
+    rng_stream,
+    signal_indices,
+    synthesize_observation,
 )
+from strategies import SHAPES, gapped_matrix
 
 
 class TestRatePsi:
@@ -140,41 +145,120 @@ class TestClassifySnr:
         assert minimax_rate_extreme(idx, n, p) - tail == pytest.approx(sigma, rel=1e-3)
 
 
-class TestLinearSignalIndices:
+def _linear_signal(short, long, tall, seed, centred):
+    """(a, eta, b) of an n x p Theta = a eta^T + b, n > p when ``tall``:
+    a in [0.1, 3], eta nondecreasing in [-5, 10] (centred or not), b in
+    [-6, 6], so that centring does not cancel."""
+    n, p = (long, short) if tall else (short, long)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 3.0, n)
+    eta = np.sort(rng.uniform(-5.0, 10.0, p))
+    if centred:
+        eta -= eta.mean()
+    return a, eta, rng.uniform(-6.0, 6.0, n)[:, None]
+
+
+# both Gram sides: n <= p solves on X X^T, n > p on X^T X
+LINEAR = dict(
+    short=st.integers(3, 20),
+    long=st.integers(21, 60),
+    tall=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    centred=st.booleans(),
+)
+
+
+def _assume_stable_sign(y):
+    """Skip data whose row-majority sign is decided by a near-zero sum."""
+    assume(abs(leading_singular_triple(center_rows(y)).u.sum()) >= 1e-6)
+
+
+class TestSignalIndices:
     def test_direct_formula(self):
-        idx = linear_signal_indices([1.0, 2.0], [-1.0, 0.0, 1.0], sigma=1.0)
+        idx = signal_indices(np.outer([1.0, 2.0], [-1.0, 0.0, 1.0]), sigma=1.0)
         assert idx.t == pytest.approx(math.sqrt(10))
         assert idx.beta_r == pytest.approx(1 / math.sqrt(2))
         assert idx.beta_l == pytest.approx(1 / math.sqrt(2))
+        assert idx.sigma == 1.0
 
     def test_s1_design(self):
         p = 40
         eta = np.zeros(p)
         eta[0], eta[-1] = -1.0, 1.0
         a = np.array([0.5, 1.5, 2.5])
-        idx = linear_signal_indices(a, eta, sigma=1.0)
+        idx = signal_indices(np.outer(a, eta) + np.array([[0.0], [3.0], [6.0]]), sigma=1.0)
         assert idx.beta_r == pytest.approx(1 / math.sqrt(2))
         assert idx.beta_l == pytest.approx(1 / math.sqrt(2))
         assert idx.t == pytest.approx(math.sqrt(2) * np.linalg.norm(a))
 
-    def test_t_matches_leading_singular_value(self):
-        rng = np.random.default_rng(61)
-        for _ in range(10):
-            eta = np.sort(rng.normal(size=30))
-            eta -= eta.mean()
-            a = rng.uniform(0.2, 2.0, 8)
-            idx = linear_signal_indices(a, eta, sigma=1.0)
-            theta = np.outer(a, eta) + rng.uniform(0, 6, 8)[:, None]
-            triple = leading_singular_triple(center_rows(theta))
-            assert idx.t == pytest.approx(triple.lam, rel=1e-10)
+    @settings(max_examples=100, deadline=None)
+    @given(**LINEAR)
+    def test_linear_signal_closed_form(self, **draw):
+        a, eta, b = _linear_signal(**draw)
+        e = eta - eta.mean()
+        e_norm = np.linalg.norm(e)
+        idx = signal_indices(np.outer(a, eta) + b, sigma=1.0)
+        assert idx.t == pytest.approx(np.linalg.norm(a) * e_norm, rel=1e-13)
+        assert idx.beta_r == pytest.approx(e[-1] / e_norm, rel=1e-13)
+        assert idx.beta_l == pytest.approx(-e[0] / e_norm, rel=1e-13)
 
-    def test_uncentered_eta_rejected(self):
-        with pytest.raises(UncenteredEta):
-            linear_signal_indices([1.0], [0.0, 1.0, 2.0], sigma=1.0)
+    @settings(max_examples=50, deadline=None)
+    @given(**LINEAR)
+    def test_negative_slope_sum_swaps_betas(self, **draw):
+        # the row-majority sign then points v against eta
+        a, eta, b = _linear_signal(**draw)
+        idx = signal_indices(np.outer(a, eta) + b, sigma=1.0)
+        flipped = signal_indices(np.outer(-a, eta) + b, sigma=1.0)
+        assert flipped.t == pytest.approx(idx.t, rel=1e-13)
+        assert flipped.beta_r == pytest.approx(idx.beta_l, rel=1e-13)
+        assert flipped.beta_l == pytest.approx(idx.beta_r, rel=1e-13)
 
-    def test_zero_signal_rejected(self):
-        with pytest.raises(ZeroSignal):
-            linear_signal_indices([0.0, 0.0], [-1.0, 0.0, 1.0], sigma=1.0)
+    @settings(max_examples=50, deadline=None)
+    @given(**SHAPES, perm_seed=st.integers(0, 2**32 - 1))
+    def test_column_permutation_and_row_shift_invariance(
+        self, n, p, seed, noise, exponent, perm_seed
+    ):
+        y = gapped_matrix(n, p, seed, noise, exponent)
+        _assume_stable_sign(y)
+        rng = np.random.default_rng(perm_seed)
+        shifts = np.ldexp(rng.uniform(-8.0, 8.0, n), exponent)
+        base = signal_indices(y, sigma=2.0)
+        for other in (y[:, rng.permutation(p)], y + shifts[:, None]):
+            got = signal_indices(other, sigma=2.0)
+            assert got.t == pytest.approx(base.t, rel=1e-10)
+            assert got.beta_r == pytest.approx(base.beta_r, rel=1e-10)
+            assert got.beta_l == pytest.approx(base.beta_l, rel=1e-10)
+            assert got.sigma == 2.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(**SHAPES, scale=st.sampled_from([2.0**500, 2.0**-500, 2.5, 1e-3, 1e3]))
+    def test_positive_scale(self, n, p, seed, noise, exponent, scale):
+        y = gapped_matrix(n, p, seed, noise, exponent)
+        _assume_stable_sign(y)
+        base = signal_indices(y, sigma=1.0)
+        scaled = signal_indices(scale * y, sigma=1.0)
+        assert scaled.t == pytest.approx(scale * base.t, rel=1e-12)
+        assert scaled.beta_r == pytest.approx(base.beta_r, rel=1e-12)
+        assert scaled.beta_l == pytest.approx(base.beta_l, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.full((3, 5), 2.5), np.outer([0.0, 0.0], [-1.0, 0.0, 1.0]) + [[1.0], [4.0]]],
+        ids=["constant", "zero-slope"],
+    )
+    def test_zero_signal_rejected(self, theta):
+        with pytest.raises(ZeroMatrixError):
+            signal_indices(theta, sigma=1.0)
+
+    def test_s2_signal_accepted(self):
+        # S2's eta = 1..p is not centred and its Theta is log-linear
+        rng = rng_stream(5)
+        theta = synthesize_observation(generate_s2(20, 200, 3.0, rng), 0.0, None, rng)
+        idx = signal_indices(theta, sigma=1.0)
+        v = leading_singular_triple(center_rows(theta)).v
+        assert idx.t > 0
+        assert (idx.beta_r, idx.beta_l) == (v.max(), -v.min())
+        assert 0 < idx.beta_r < 1 and 0 < idx.beta_l < 1
 
 
 class TestFeasibility:
