@@ -31,7 +31,6 @@ from .estimators import (
 from .io import CoverageTable, load_coverage_csv, write_estimates_csv
 from .matrix import (
     CenteredMatrix,
-    SignConvention,
     SingularTriple,
     center_rows,
     leading_singular_triple,

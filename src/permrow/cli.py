@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InputError, NonFiniteEstimate, NumericalDegeneracyError
 from .estimators import (
-    DEFAULT_TRIM,
     EstimatorMethod,
     direct_sorting_extremes,
     irep_extremes,
@@ -28,7 +27,6 @@ from .estimators import (
     spectral_extremes,
 )
 from .io import load_coverage_csv, load_grouped_csv, write_estimates_csv
-from .matrix import SignConvention
 from .simulation import DEFAULT_ESTIMATORS, ScenarioSpec, run_monte_carlo
 from .stats import TTestVariant, f_test_oneway, t_test_two_sample
 from .theory import SignalIndices, classify_snr, minimax_rate_extreme, rate_psi
@@ -36,14 +34,13 @@ from .theory import SignalIndices, classify_snr, minimax_rate_extreme, rate_psi
 
 def _cmd_estimate(args) -> int:
     table = load_coverage_csv(args.input)
-    convention = SignConvention(args.sign)
-    # each estimator is looked up in this module when the method runs
+    # built per call, so that a name re-bound in this module (as a tracer does) is the one run
     estimate = {
-        EstimatorMethod.SPECTRAL: lambda y: spectral_extremes(y, convention=convention),
-        EstimatorMethod.REGRESSION: lambda y: regression_extremes(y, convention=convention),
-        EstimatorMethod.DIRECT_SORTING: lambda y: direct_sorting_extremes(y, convention=convention),
-        EstimatorMethod.ORDER_STATISTIC: lambda y: order_statistic_extremes(y),
-        EstimatorMethod.IREP: lambda y: irep_extremes(y, trim_fraction=args.trim),
+        EstimatorMethod.SPECTRAL: spectral_extremes,
+        EstimatorMethod.REGRESSION: regression_extremes,
+        EstimatorMethod.DIRECT_SORTING: direct_sorting_extremes,
+        EstimatorMethod.ORDER_STATISTIC: order_statistic_extremes,
+        EstimatorMethod.IREP: irep_extremes,
     }[EstimatorMethod(args.method)]
     # An overflow shows as a non-finite value below or as a package error,
     # so numpy's warnings would only add lines to stderr.
@@ -167,13 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=EstimatorMethod.SPECTRAL.value,
         choices=[m.value for m in EstimatorMethod],
     )
-    est.add_argument(
-        "--sign",
-        default=SignConvention.ROW_MAJORITY.value,
-        choices=[c.value for c in SignConvention],
-    )
     est.add_argument("--exp", action="store_true", help="emit exp-scale values (ePTR)")
-    est.add_argument("--trim", type=float, default=DEFAULT_TRIM, help="iRep trim fraction")
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo risk study")

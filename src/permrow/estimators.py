@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InsufficientColumns, NonFiniteEstimate
 from .matrix import (
     CenteredMatrix,
-    SignConvention,
     SingularTriple,
     _as_matrix,
     center_rows,
@@ -27,7 +26,7 @@ from .matrix import (
     rank_vector,
 )
 
-DEFAULT_TRIM = 0.05  # the iRep proxy's trim fraction at each end
+IREP_TRIM = 0.05  # the iRep proxy's trim fraction at each end
 
 
 class EstimatorMethod(Enum):
@@ -76,14 +75,12 @@ class _SpectralContext:
         )
 
 
-def _spectral_context(
-    y, convention: SignConvention = SignConvention.ROW_MAJORITY, out=None
-) -> _SpectralContext:
+def _spectral_context(y, out=None) -> _SpectralContext:
     """The centered matrix (written into ``out``, as ``center_rows`` takes
     it), its leading triple and the order of v."""
     values = np.asarray(y, dtype=float)
     centered = center_rows(values, out=out)  # validates shape and finiteness
-    triple = leading_singular_triple(centered, convention=convention)
+    triple = leading_singular_triple(centered)
     return _SpectralContext(
         y=values, centered=centered, triple=triple, order=rank_vector(triple.v)
     )
@@ -106,16 +103,12 @@ def _direct_sorting_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
     return ctx.estimates(EstimatorMethod.DIRECT_SORTING, theta_r, theta_l)
 
 
-def spectral_extremes(
-    y, convention: SignConvention = SignConvention.ROW_MAJORITY
-) -> ExtremeEstimates:
+def spectral_extremes(y) -> ExtremeEstimates:
     """Spectral estimates: theta_r = v_(p) Xv + (1/p) Y e, and the left/range analogues."""
-    return _spectral_from_context(_spectral_context(y, convention))
+    return _spectral_from_context(_spectral_context(y))
 
 
-def regression_extremes(
-    y, convention: SignConvention = SignConvention.ROW_MAJORITY
-) -> ExtremeEstimates:
+def regression_extremes(y) -> ExtremeEstimates:
     """The paper's two-step form: per-row OLS of Y on the scores v, read at
     v_(p) and v_(1), labelled REGRESSION.
 
@@ -123,14 +116,12 @@ def regression_extremes(
     the row means less slope * mean(v).  v is a unit vector orthogonal to e
     (X's rows sum to zero), so mean(v) = 0, c . c = 1 and X c = Xv = lam u:
     the fit is the spectral readout, which is what runs here."""
-    return _spectral_from_context(_spectral_context(y, convention), EstimatorMethod.REGRESSION)
+    return _spectral_from_context(_spectral_context(y), EstimatorMethod.REGRESSION)
 
 
-def direct_sorting_extremes(
-    y, convention: SignConvention = SignConvention.ROW_MAJORITY
-) -> ExtremeEstimates:
+def direct_sorting_extremes(y) -> ExtremeEstimates:
     """Baseline: the observed columns ranked last/first by the score vector."""
-    return _direct_sorting_from_context(_spectral_context(y, convention))
+    return _direct_sorting_from_context(_spectral_context(y))
 
 
 def order_statistic_extremes(y) -> ExtremeEstimates:
@@ -153,21 +144,19 @@ def order_statistic_extremes(y) -> ExtremeEstimates:
     )
 
 
-def irep_range(y, trim_fraction: float = DEFAULT_TRIM) -> np.ndarray:
+def irep_range(y) -> np.ndarray:
     """Sort-trim-OLS proxy for the iRep log-PTR estimate, per sample.
 
-    Each row is sorted ascending, ``floor(trim_fraction * p)`` entries are
+    Each row is sorted ascending, ``floor(IREP_TRIM * p)`` entries are
     dropped from each end, ordinary least squares is fit against the index
     positions of the kept window, and the slope is scaled by (p - 1).
 
     This is a simplified stand-in for the published piecewise pipeline, kept
     as a benchmarking baseline only.
     """
-    if not 0.0 <= trim_fraction < 0.25:
-        raise ValueError("trim_fraction must lie in [0, 0.25)")
     values = _as_matrix(np.atleast_2d(y), "observation matrix", min_rows=1)
     p = values.shape[1]
-    t = floor(trim_fraction * p)
+    t = floor(IREP_TRIM * p)
     if p - 2 * t < 3:
         raise InsufficientColumns(
             f"only {p - 2 * t} columns remain after trimming; need at least 3"
@@ -180,13 +169,13 @@ def irep_range(y, trim_fraction: float = DEFAULT_TRIM) -> np.ndarray:
     return slopes * (p - 1)
 
 
-def irep_extremes(y, trim_fraction: float = DEFAULT_TRIM) -> ExtremeEstimates:
+def irep_extremes(y) -> ExtremeEstimates:
     """The iRep proxy as estimates: ``irep_range`` per sample, and no
     extremes, scores or permutation."""
     return ExtremeEstimates(
         theta_r=None,
         theta_l=None,
-        range=irep_range(y, trim_fraction=trim_fraction),
+        range=irep_range(y),
         permutation_hat=None,
         method=EstimatorMethod.IREP,
         triple=None,

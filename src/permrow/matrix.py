@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,18 +21,6 @@ from .errors import GramOverflow, NonFiniteInput, NumericalDegeneracyError, Zero
 
 DEFAULT_TOL = 1e-10
 _OVERFLOW = "matrix entries are too large: its singular values overflow"
-
-
-class SignConvention(Enum):
-    """How the joint sign of the leading pair (u, v) is fixed.
-
-    ROW_MAJORITY flips (u, v) so that sum_i (Xv)_i >= 0; on an exact tie it
-    falls back to FIRST_NONZERO_NEGATIVE, which flips so that the first
-    nonzero component of v is negative.
-    """
-
-    ROW_MAJORITY = "row-majority"
-    FIRST_NONZERO_NEGATIVE = "first-negative"
 
 
 @dataclass(frozen=True)
@@ -238,10 +225,7 @@ def _scale_back(lam: float, e: int) -> float:
     return value
 
 
-def leading_singular_triple(
-    x,
-    convention: SignConvention = SignConvention.ROW_MAJORITY,
-) -> SingularTriple:
+def leading_singular_triple(x) -> SingularTriple:
     """Top singular triple of a (row-centered) matrix.
 
     Computed from the top two eigenpairs of the Gram matrix on the smaller
@@ -249,7 +233,11 @@ def leading_singular_triple(
     power of two near its largest entry when that entry is far from 1.
     The top eigenvector gives u (or v); the other vector is X^T u / lam
     (or X v / lam) with lam = ||X^T u|| (or ||X v||).  The second
-    eigenvalue gives lam2.  Raises
+    eigenvalue gives lam2.
+
+    The joint sign of (u, v) is the row-majority one: (u, v) is flipped so
+    that sum_i (Xv)_i >= 0, which no column order changes; on an exact tie,
+    so that the first nonzero entry of v is negative.  Raises
     ZeroMatrixError when the matrix is identically zero, GramOverflow when
     the top singular value exceeds the float range, and
     NumericalDegeneracyError when the eigensolve fails.
@@ -266,7 +254,7 @@ def leading_singular_triple(
     bt = b @ t
     u, v, xv = (s, t, bt) if values.shape[0] <= values.shape[1] else (t, s, bts)
 
-    total = float(xv.sum()) if convention is SignConvention.ROW_MAJORITY else 0.0
+    total = float(xv.sum())
     flip = total < 0.0 if total != 0.0 else _first_nonzero_is_positive(v)
     if flip:
         u, v = -u, -v

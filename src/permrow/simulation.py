@@ -488,8 +488,9 @@ def run_monte_carlo(
     Each estimator is scored on thetaR, thetaL and range, except irep, which
     estimates the range only.  Replicate r fills row r of a (reps, pairs)
     risk array, and each (estimator, target) summary is computed from its
-    column.  The spectral, regression and DS estimators use the row-majority
-    sign convention, and irep trims 5% of each end.
+    column.  The estimators are the ones ``permrow estimate`` runs, and take
+    no settings: the spectral family orients v by the row-majority sign of
+    ``leading_singular_triple``, and irep trims ``IREP_TRIM`` (5%) of each end.
 
     The report depends only on (spec, estimators, reps); ``threads`` changes
     wall-clock time, never the result (see the module docstring for the BLAS

@@ -25,7 +25,6 @@ from permrow import (
     ParseError,
     PermutationKind,
     ScenarioKind,
-    SignConvention,
     spectral_extremes,
 )
 
@@ -89,14 +88,12 @@ def exact_ols_slope(x_values, y_values) -> Fraction:
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
-def regression_two_step(
-    y, convention: SignConvention = SignConvention.ROW_MAJORITY
-) -> tuple[np.ndarray, np.ndarray]:
+def regression_two_step(y) -> tuple[np.ndarray, np.ndarray]:
     """The paper's two-step regression estimate (theta_r, theta_l): Y's
     columns sorted by the order of the spectral scores v, each row
     centred again and fit by OLS on the sorted scores, read at the last
     and first of them."""
-    spec = spectral_extremes(y, convention)
+    spec = spectral_extremes(y)
     order = spec.permutation_hat
     scores = spec.triple.v[order]
     y_sorted = np.asarray(y, dtype=float)[:, order]

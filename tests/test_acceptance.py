@@ -17,7 +17,6 @@ from permrow import (
     PermutationKind,
     ScenarioKind,
     ScenarioSpec,
-    SignConvention,
     SignalIndices,
     SnrRegime,
     TTestVariant,
@@ -127,11 +126,10 @@ def test_criterion_3_monotone_singular_vector():
         weights = rng.uniform(-0.2, 0.2, n)
         b = rng.uniform(0, 6, n)
         theta = slopes[:, None] * (eta + weights[:, None] * zeta) + b[:, None]
-        triple = leading_singular_triple(
-            center_rows(theta), convention=SignConvention.FIRST_NONZERO_NEGATIVE
-        )
-        ok = ok and bool(np.all(np.diff(triple.v) >= -1e-10))
-        ok = ok and bool(np.array_equal(np.sign(triple.u), np.sign(slopes)))
+        triple = leading_singular_triple(center_rows(theta))
+        s = 1.0 if triple.v[-1] >= triple.v[0] else -1.0  # one joint flip of (u, v)
+        ok = ok and bool(np.all(np.diff(s * triple.v) >= -1e-10))
+        ok = ok and bool(np.array_equal(np.sign(s * triple.u), np.sign(slopes)))
         if not ok:
             break
     _verdict(

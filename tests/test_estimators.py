@@ -14,11 +14,15 @@ from permrow import (
     NonFiniteInput,
     ZeroMatrixError,
     direct_sorting_extremes,
+    generate_s1,
+    generate_s2,
     irep_extremes,
     irep_range,
     order_statistic_extremes,
     regression_extremes,
+    rng_stream,
     spectral_extremes,
+    synthesize_observation,
 )
 from permrow import estimators
 from oracles import exact_ols_slope, regression_two_step
@@ -74,6 +78,16 @@ class TestSpectralExtremes:
             np.testing.assert_allclose(est.theta_l, theta[:, 0], rtol=0, atol=1e-9)
             # order statistic k of the scores sits at observed position pi(k)
             np.testing.assert_array_equal(est.permutation_hat, pi)
+
+    @pytest.mark.parametrize("generate", [generate_s1, generate_s2], ids=["S1", "S2"])
+    def test_orientation_on_permuted_input(self, generate):
+        # the sign of v is fixed by the rows, not by which column comes
+        # first, so theta_r and theta_l are not swapped under a permutation:
+        # the median range is positive in every replicate
+        for r in range(30):
+            rng = rng_stream(r)
+            y = synthesize_observation(generate(50, 200, 3.0, rng), 1.0, rng.permutation(200), rng)
+            assert np.median(spectral_extremes(y).range) > 0.0, r
 
 
 class TestRegressionEquivalence:
@@ -177,31 +191,25 @@ class TestOrderStatistic:
 
 
 class TestIrep:
+    # irep trims floor(0.05 p) entries of each end: none below p = 20
     def test_exact_linear_row(self):
-        np.testing.assert_allclose(irep_range([-1.0, 0.0, 1.0], trim_fraction=0.0), [2.0])
+        np.testing.assert_allclose(irep_range([-1.0, 0.0, 1.0]), [2.0])
 
     def test_constant_row(self):
-        np.testing.assert_allclose(irep_range([5.0, 5.0, 5.0, 5.0], trim_fraction=0.0), [0.0])
+        np.testing.assert_allclose(irep_range([5.0, 5.0, 5.0, 5.0]), [0.0])
 
-    def test_matches_exact_normal_equations(self):
+    @pytest.mark.parametrize("p, t", [(19, 0), (40, 2)])
+    def test_matches_exact_normal_equations(self, p, t):
         rng = np.random.default_rng(54)
-        p = 20
         row = np.sort(rng.normal(size=p)) + 0.1 * rng.standard_normal(p)
-        for trim in (0.0, 0.1):
-            t = int(np.floor(trim * p))
-            xs = np.arange(p)[t : p - t]
-            ys = np.sort(row)[t : p - t]
-            expected = float(exact_ols_slope(xs, ys)) * (p - 1)
-            got = irep_range(row, trim_fraction=trim)[0]
-            assert got == pytest.approx(expected, abs=1e-10)
+        xs = np.arange(p)[t : p - t]
+        ys = np.sort(row)[t : p - t]
+        expected = float(exact_ols_slope(xs, ys)) * (p - 1)
+        assert irep_range(row)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_trimming_drops_columns(self):
         with pytest.raises(InsufficientColumns):
-            irep_range(np.array([1.0, 2.0]), trim_fraction=0.0)
-
-    def test_trim_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            irep_range(np.arange(10.0), trim_fraction=0.3)
+            irep_range(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize(
         "y, error",
@@ -218,12 +226,12 @@ class TestIrep:
     )
     def test_validation_error_classes(self, y, error):
         with pytest.raises(error):
-            irep_range(y, trim_fraction=0.0)
+            irep_range(y)
 
     def test_extremes_carry_the_range_only(self):
         y = np.random.default_rng(55).normal(size=(4, 30))
-        est = irep_extremes(y, trim_fraction=0.1)
-        np.testing.assert_array_equal(est.range, irep_range(y, trim_fraction=0.1))
+        est = irep_extremes(y)
+        np.testing.assert_array_equal(est.range, irep_range(y))
         assert est.method is EstimatorMethod.IREP
         assert (est.theta_r, est.theta_l) == (None, None)
         assert est.permutation_hat is None and est.triple is None
@@ -254,8 +262,7 @@ class TestScoreOrder:
         assert exp.permutation_hat is order and exp.triple is est.triple
 
     @pytest.mark.parametrize(
-        "estimator", [order_statistic_extremes, lambda y: irep_extremes(y, trim_fraction=0.1)],
-        ids=["os", "irep"],
+        "estimator", [order_statistic_extremes, irep_extremes], ids=["os", "irep"],
     )
     def test_none_without_a_triple(self, estimator):
         est = estimator(random_growth_observation(np.random.default_rng(60)))

@@ -518,7 +518,7 @@ class TestCliEstimate:
         for method in ("spectral", "regression", "ds", "os"):
             code, out = self.run_estimate(tmp_path, "--method", method)
             assert code == 0
-        code, out = self.run_estimate(tmp_path, "--method", "irep", "--trim", "0")
+        code, out = self.run_estimate(tmp_path, "--method", "irep")
         assert code == 0
         row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[1] == "" and row[2] == ""
@@ -973,8 +973,14 @@ RATES_ARGS = ["--t", "5", "--beta-r", "0.5", "--sigma", "1", "--n", "10", "--p",
         (["bogus"], "argument command: invalid choice: 'bogus'"),
         (["simulate", "--reps", "1"], "the following arguments are required:"),
         (["rates", *RATES_ARGS, "--bogus"], "unrecognized arguments: --bogus"),
+        # removed flags: the estimators take no settings
+        (["estimate", "--input", "i.csv", "--output", "o.csv", "--sign", "row-majority"],
+         "unrecognized arguments: --sign row-majority"),
+        (["estimate", "--input", "i.csv", "--output", "o.csv", "--trim", "0.05"],
+         "unrecognized arguments: --trim 0.05"),
     ],
-    ids=["bad-value", "missing-flag", "unknown-subcommand", "missing-flags", "unknown-flag"],
+    ids=["bad-value", "missing-flag", "unknown-subcommand", "missing-flags", "unknown-flag",
+         "removed-sign", "removed-trim"],
 )
 def test_usage_error_one_line_exit_2(run_cli, argv, message):
     proc = run_cli(*argv)
@@ -1028,9 +1034,7 @@ ARGV_FLAGS = {
         "--input": flag_value(st.just("{coverage}"), ARGV_PATHS),
         "--output": flag_value(st.just("{out}"), ARGV_OUTPUTS),
         "--method": st.sampled_from(["spectral", "regression", "ds", "os", "irep", "bogus", ""]),
-        "--sign": st.sampled_from(["row-majority", "first-negative", "x"]),
         "--exp": None,
-        "--trim": flag_value(st.floats(0.0, 0.5).map(repr), ARGV_NUMBERS),
     },
     "simulate": {
         "--config": flag_value(st.just("{config}"), ARGV_PATHS),

@@ -10,7 +10,6 @@ from permrow import (
     GramOverflow,
     NonFiniteInput,
     NumericalDegeneracyError,
-    SignConvention,
     SingularTriple,
     ZeroMatrixError,
     center_rows,
@@ -99,12 +98,11 @@ class TestPow2Scaled:
 
 class TestLeadingSingularTriple:
     def test_closed_form_rank_one(self):
-        for convention in SignConvention:
-            t = leading_singular_triple(RANK_ONE, convention=convention)
-            assert t.lam == pytest.approx(np.sqrt(10), abs=1e-12)
-            np.testing.assert_allclose(t.v, np.array([-1, 0, 1]) / np.sqrt(2), atol=1e-12)
-            np.testing.assert_allclose(t.u, np.array([1, 2]) / np.sqrt(5), atol=1e-12)
-            assert t.converged
+        t = leading_singular_triple(RANK_ONE)
+        assert t.lam == pytest.approx(np.sqrt(10), abs=1e-12)
+        np.testing.assert_allclose(t.v, np.array([-1, 0, 1]) / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(t.u, np.array([1, 2]) / np.sqrt(5), atol=1e-12)
+        assert t.converged
 
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrixError):
@@ -181,9 +179,9 @@ class TestLeadingSingularTriple:
         np.testing.assert_allclose(t2.v, t1.v, atol=1e-9)
 
     def test_proposition_monotone_v_and_row_directions(self):
-        # noiseless row-monotone matrices with mixed directions: the leading
-        # right singular vector is nondecreasing under the first-negative
-        # convention and sgn(u_i) encodes each row's direction
+        # noiseless row-monotone matrices with mixed directions: up to one
+        # joint flip s of (u, v), the leading right singular vector is
+        # nondecreasing and sgn(u_i) encodes each row's direction
         rng = np.random.default_rng(26)
         for _ in range(20):
             n, p = 6, 15
@@ -195,11 +193,10 @@ class TestLeadingSingularTriple:
             weights = rng.uniform(0.0, 0.3, n)
             theta = slopes[:, None] * (eta[None, :] + weights[:, None] * zeta[None, :])
             theta += rng.uniform(0, 6, n)[:, None]
-            t = leading_singular_triple(
-                center_rows(theta), convention=SignConvention.FIRST_NONZERO_NEGATIVE
-            )
-            assert np.all(np.diff(t.v) >= -1e-10)
-            assert np.all(np.sign(t.u) == np.sign(slopes))
+            t = leading_singular_triple(center_rows(theta))
+            s = 1.0 if t.v[-1] >= t.v[0] else -1.0
+            assert np.all(np.diff(s * t.v) >= -1e-10)
+            assert np.all(np.sign(s * t.u) == np.sign(slopes))
 
     def test_row_majority_sign(self):
         # all slopes positive -> sum of projections nonnegative
@@ -208,9 +205,23 @@ class TestLeadingSingularTriple:
         eta = np.sort(rng.normal(size=12))
         eta -= eta.mean()
         x = np.outer(a, eta)
-        t = leading_singular_triple(x, convention=SignConvention.ROW_MAJORITY)
+        t = leading_singular_triple(x)
         assert (x @ t.v).sum() >= 0
         assert np.all(t.u > 0)
+
+    @pytest.mark.parametrize("negate", [False, True], ids=["x", "minus-x"])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["wide", "tall"])
+    def test_exact_tie_orients_first_nonzero_v_negative(self, negate, transpose):
+        # sum_i (Xv)_i is exactly 0 here, so the row sums leave the sign open;
+        # X and -X share the Gram matrix, so one of them needs the flip
+        x = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
+        x = -x if negate else x
+        x = x.T if transpose else x
+        t = leading_singular_triple(x)
+        assert float((x @ t.v).sum()) == 0.0
+        v = np.array([-1.0, 1.0, 0.0])[: x.shape[1]] / np.sqrt(2)
+        np.testing.assert_allclose(t.v, v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x @ t.v, t.lam * t.u, rtol=0, atol=1e-12)
 
     def test_multiplicity_warning_on_tied_spectrum(self):
         x = np.array(
@@ -405,7 +416,9 @@ def test_transpose_consistency(n, p, seed, noise, exponent):
     t = leading_singular_triple(x)
     tt = leading_singular_triple(x.T)
     assert tt.lam == pytest.approx(t.lam, rel=1e-12)
-    sign = 1.0 if tt.u @ t.v > 0 else -1.0  # each sign convention flips (u, v) jointly
+    # X^T's row sums are X's column sums, near 0 after centring, so the
+    # row-majority sign may orient the two differently; it flips (u, v) jointly
+    sign = 1.0 if tt.u @ t.v > 0 else -1.0
     np.testing.assert_allclose(sign * tt.u, t.v, rtol=0, atol=1e-9)
     np.testing.assert_allclose(sign * tt.v, t.u, rtol=0, atol=1e-9)
 

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from permrow import cli, simulation
 from permrow import (
     PermutationKind,
     ScenarioKind,
@@ -55,3 +56,30 @@ def test_cell_counter_reads_a_real_risk_report():
     assert tracing._count_result("simulation.cell", (spec,), report) == {
         "simulation.failed_replicates": len(report.failed_replicates)
     }
+
+
+def test_runs_call_the_names_the_tracer_rebinds(tmp_path, monkeypatch):
+    """``estimate`` and ``simulate`` look their estimators up by these names
+    at each call, so a re-binding (the tracer's spans) sees every call.  A
+    table bound at import time would still resolve, and leave the spans empty."""
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectral_extremes", counting("spectral", cli.spectral_extremes))
+    monkeypatch.setattr(
+        simulation, "order_statistic_extremes",
+        counting("os", simulation.order_statistic_extremes),
+    )
+    table = tmp_path / "in.csv"
+    table.write_text("sample,c1,c2,c3\ns1,-1,0,1\ns2,-2,0,3\n", encoding="utf-8")
+    out = str(tmp_path / "out.csv")
+    assert cli.main(["estimate", "--input", str(table), "--output", out]) == 0
+    assert calls == ["spectral"]
+    config = tmp_path / "s1.json"
+    config.write_text('{"kind": "S1", "n": 4, "p": 12, "alpha": 3.0, "sigma": 1.0}', encoding="utf-8")
+    argv = ["simulate", "--config", str(config), "--reps", "3", "--seed", "5",
+            "--estimators", "os", "--output", out]
+    assert cli.main(argv) == 0
+    assert calls == ["spectral", "os", "os", "os"]
