@@ -4,30 +4,34 @@ Dialect is fixed: comma-separated, '.' decimal point, UTF-8, records ending
 in LF, CRLF or CR.  Numeric payloads are written with 12 significant digits,
 and sample ids are quoted where CSV requires it.
 
-A coverage table is read in two stages.  A plain numeric file is parsed by
-``np.loadtxt`` over the value parts of its rows, in two blocks of rows: this
-process parses the first half, and a child made with ``os.fork`` parses the
-second into a shared anonymous mmap, which then holds the table.  The child
-reads only the rows of its half, writes only their block of the mmap, and
-leaves with ``os._exit``; the parent always waits for it.  Where there is no
-``os.fork``, where the fork fails, or where other Python threads run, one
-block is parsed in this process.  Every other file, and every file with an
-error in either block, goes to the exact loader, which converts one record
-at a time so that an error names the first bad cell.  All give the same ids,
-value bytes and error messages: loadtxt parses each number on its own with
-``PyOS_string_to_double``, as ``float()`` does, and the first stage declines
-the inputs on which the two differ.  Only a quoted
-record goes through ``csv.reader``, so only a quoted field is held to its
-limit of 131072 characters.
+A coverage table is read in two stages.  A plain numeric file is mapped
+read-only with ``mmap``, each row's id and value part are found, and
+``np.loadtxt`` parses the parts in two blocks of rows: this process decodes
+and parses the first half, and a child made with ``os.fork`` the second, into
+a shared anonymous mmap that then holds the table.  The child touches only its
+rows and their block of the mmap, and leaves with ``os._exit``; the parent
+always waits for it.  Where there is no ``os.fork``, where the fork fails, or
+where other Python threads run, one block is parsed in this process.  Every
+other file, every file with an error in either block, and a file that cannot
+be mapped (empty, or a pipe) goes to the exact loader: it reads the lines of
+the same open handle and converts one record at a time, so that an error names
+the first bad cell.  All give the same ids, value bytes and error messages:
+loadtxt parses each number on its own with ``PyOS_string_to_double``, as
+``float()`` does, and the first stage declines the inputs on which the two
+differ.  Only a quoted record goes through ``csv.reader``, so only a quoted
+field is held to its limit of 131072 characters.  The file must not be
+truncated while it is read: touching a mapped page past its end raises SIGBUS.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import mmap
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass
@@ -97,31 +101,28 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 
 # float() rejects the ASCII separators U+001C..U+001F next to a number, and
 # loadtxt strips them as whitespace.
-_NOT_PLAIN = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+_NOT_PLAIN = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _value_parts(lines: list[str], ids: list[str]) -> Iterator[str]:
-    """Each line's value part, one at a time, so that they are never all held
-    at once; ValueError at the first that is blank, on which loadtxt would
-    warn of no data."""
-    for sample_id, line in zip(ids, lines):
-        rest = line[len(sample_id) + 1 :]
-        if not rest or rest.isspace():
-            raise ValueError("a row has no values")
-        yield rest
+def _parse_rows(mapping: mmap.mmap, spans: list[tuple[int, int]], p: int) -> np.ndarray:
+    """The value parts at ``spans`` as a finite len(spans) x p array, from one
+    ``np.loadtxt`` call that decodes each only as it reads it; ValueError when
+    they are not that, or at a blank part, on which loadtxt would warn."""
 
+    def value_parts() -> Iterator[str]:
+        for start, end in spans:
+            rest = mapping[start:end].decode("utf-8")
+            if not rest or rest.isspace():
+                raise ValueError("a row has no values")
+            yield rest
 
-def _parse_rows(lines: list[str], ids: list[str], p: int) -> np.ndarray:
-    """The value parts of ``lines`` as a len(ids) x p array, in one
-    ``np.loadtxt`` call; ValueError when they are not that."""
-    rests = _value_parts(lines, ids)
-    values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float, ndmin=2)
-    if values.shape != (len(ids), p):
-        raise ValueError(f"shape {values.shape}, expected {(len(ids), p)}")
+    values = np.loadtxt(value_parts(), delimiter=",", comments=None, dtype=float, ndmin=2)
+    if values.shape != (len(spans), p) or not np.isfinite(values).all():
+        raise ValueError(f"not a finite {len(spans)} x {p} table")
     return values
 
 
-def _parse_split(lines: list[str], ids: list[str], p: int) -> np.ndarray:
+def _parse_split(mapping: mmap.mmap, spans: list[tuple[int, int]], p: int) -> np.ndarray:
     """``_parse_rows`` over all rows, the second half of them in a forked child.
 
     The child parses rows [h, n) into a shared anonymous mmap, which then
@@ -132,8 +133,8 @@ def _parse_split(lines: list[str], ids: list[str], p: int) -> np.ndarray:
     """
     fork = getattr(os, "fork", None)
     if fork is None or threading.active_count() > 1:
-        return _parse_rows(lines, ids, p)
-    n, h = len(ids), len(ids) // 2
+        return _parse_rows(mapping, spans, p)
+    n, h = len(spans), len(spans) // 2
     values = np.frombuffer(mmap.mmap(-1, n * p * 8), dtype=float).reshape(n, p)
     try:
         with warnings.catch_warnings():
@@ -143,16 +144,16 @@ def _parse_split(lines: list[str], ids: list[str], p: int) -> np.ndarray:
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = fork()
     except OSError:
-        return _parse_rows(lines, ids, p)
+        return _parse_rows(mapping, spans, p)
     if pid == 0:
         code = 1
         try:
-            values[h:] = _parse_rows(lines[h:], ids[h:], p)
+            values[h:] = _parse_rows(mapping, spans[h:], p)
             code = 0
         finally:
             os._exit(code)
     try:
-        values[:h] = _parse_rows(lines[:h], ids[:h], p)
+        values[:h] = _parse_rows(mapping, spans[:h], p)
     finally:
         status = os.waitpid(pid, 0)[1]
     if status != 0:
@@ -160,31 +161,36 @@ def _parse_split(lines: list[str], ids: list[str], p: int) -> np.ndarray:
     return values
 
 
-def _load_plain_numeric(lines: list[str]) -> CoverageTable | None:
-    """The table parsed by ``np.loadtxt``, or None for the exact loader.
+def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable | None:
+    """The table that ``np.loadtxt`` parses from a mapped file, or None.
 
-    A table needs no quote and no U+001C..U+001F, at least 2 positions and 2
+    None, never an error, unless the file is UTF-8 with no quote, no
+    U+001C..U+001F and no CR but before LF, has at least 2 positions and 2
     rows, a comma and a non-blank value part on every row, distinct sample
-    ids, and p finite values on every row.  Any other input gives None, never
-    an error.  loadtxt rejects the underscores and non-ASCII digits that
-    ``float()`` accepts, so those files go to the exact loader too.
+    ids, and p finite values on every row.  loadtxt rejects the underscores
+    and non-ASCII digits that ``float()`` accepts, so those give None too.
     """
-    if len(lines) < 3 or any(mark in line for line in lines for mark in _NOT_PLAIN):
+    if any(mapping.find(mark) >= 0 for mark in _NOT_PLAIN):
         return None
-    p = lines[0].count(",")
-    ids = []
-    for line in lines[1:]:
-        comma = line.find(",")
-        if comma < 0:
-            return None
-        ids.append(line[:comma])
-    if p < 2 or len(set(ids)) < len(ids):
+    if mapping.find(b"\r") >= 0 and re.search(rb"\r(?!\n)", mapping):
         return None
+    size, start = len(mapping), mapping.find(b"\n") + 1
+    ids, spans = [], []
     try:
-        values = _parse_split(lines[1:], ids, p)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
+        p = mapping[:start].decode("utf-8").count(",")
+        while 0 < start < size:
+            end = mapping.find(b"\n", start)
+            end = size if end < 0 else end
+            comma = mapping.find(b",", start, end)
+            if comma < 0:
+                return None
+            ids.append(mapping[start:comma].decode("utf-8"))
+            spans.append((comma + 1, end))
+            start = end + 1
+        if p < 2 or len(ids) < 2 or len(set(ids)) < len(ids):
+            return None
+        values = _parse_split(mapping, spans, p)
+    except ValueError:  # UnicodeDecodeError among them
         return None
     return CoverageTable(sample_ids=tuple(ids), values=values)
 
@@ -219,10 +225,20 @@ def load_coverage_csv(path) -> CoverageTable:
     """Read a coverage table: header row, first column sample id, the rest
     positions.  Raises ParseError / DuplicateSampleId / DimensionMismatch,
     or InputError for a record that cannot be tokenized."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    table = _load_plain_numeric(lines)
-    return _load_exact(lines) if table is None else table
+    with open(path, "rb") as raw:
+        try:
+            mapping = mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file, a pipe, a terminal
+            table = None
+        else:
+            with mapping:
+                table = _load_plain_numeric(mapping)
+        if table is not None:
+            return table
+        # the same handle, still unread: opening a pipe again may wait forever
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    return _load_exact(lines)
 
 
 def _fmt(value: float | None) -> str:

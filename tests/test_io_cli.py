@@ -90,6 +90,22 @@ PARITY_CORPUS = {
     "blank-line": "sample,c1,c2\ns1,1,2\n\ns2,3,4\n",
     "crlf": "sample,c1,c2\r\ns1,1.25,2\r\ns2,3,-4e-3\r\n",
 }
+# Bytes that are not UTF-8 raise UnicodeDecodeError wherever they are; a BOM
+# stays in the first header field.  A CR ends a record unless an LF follows.
+ENCODING_CORPUS = {
+    "invalid-byte-in-header": b"sample,c\xff1,c2\ns1,1,2\ns2,3,4\n",
+    "invalid-byte-in-id": b"sample,c1,c2\ns\xff1,1,2\ns2,3,4\n",
+    "invalid-byte-in-parent-half": b"sample,c1,c2\ns1,1,2\xff\ns2,3,4\n",
+    "invalid-byte-in-child-half": b"sample,c1,c2\ns1,1,2\ns2,3,\xff4\n",
+    "bom": b"\xef\xbb\xbfsample,c1,c2\ns1,1,2\ns2,3,4\n",
+    "lone-cr": b"sample,c1,c2\rs1,1,2\rs2,3,4\r",
+    "cr-inside-header": b"sample,c1,c2\rs0,1\ns1,1,2,3\ns2,4,5,6\n",
+    "cr-inside-id": b"sample,c1,c2\ns1\r,1,2\ns2,3,4\n",
+    "cr-inside-value": b"sample,c1,c2\ns1,1\r5,2\ns2,3,4\n",
+    "final-row-ends-in-cr": b"sample,c1,c2\r\ns1,1,2\r\ns2,3,4\r",
+}
+PARITY_BYTES = {**{key: text.encode("utf-8") for key, text in PARITY_CORPUS.items()},
+                **ENCODING_CORPUS}
 
 
 def load_outcome(loader, path):
@@ -104,10 +120,10 @@ def load_outcome(loader, path):
 class TestLoaderParity:
     """The row-at-a-time loader matches the per-cell reference loader."""
 
-    @pytest.mark.parametrize("text", PARITY_CORPUS.values(), ids=PARITY_CORPUS.keys())
-    def test_same_outcome_as_per_cell_loader(self, tmp_path, text):
+    @pytest.mark.parametrize("data", PARITY_BYTES.values(), ids=PARITY_BYTES.keys())
+    def test_same_outcome_as_per_cell_loader(self, tmp_path, data):
         path = tmp_path / "c.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(data)
         got = load_outcome(load_coverage_csv, path)
         assert got == load_outcome(load_coverage_csv_per_cell, path)
 
@@ -119,6 +135,71 @@ class TestLoaderParity:
             with pytest.raises(ParseError) as err:
                 load_coverage_csv(write(tmp_path / "c.csv", text))
             assert (err.value.row, err.value.col, err.value.reason) == (3, col, reason)
+
+    @pytest.mark.parametrize("key", [key for key in ENCODING_CORPUS if "invalid" in key])
+    def test_invalid_utf8_one_line_exit_2(self, tmp_path, capsys, key):
+        path = tmp_path / "in.csv"
+        path.write_bytes(ENCODING_CORPUS[key])
+        with pytest.raises(UnicodeDecodeError):
+            load_coverage_csv(path)
+        assert main(["estimate", "--input", str(path), "--output", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("permrow: error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "o.csv").exists()
+
+
+def spy_exact(monkeypatch):
+    """The line counts the exact loader is called with, as a growing list."""
+    exact = permrow_io._load_exact
+    calls = []
+
+    def spy(lines):
+        calls.append(len(lines))
+        return exact(lines)
+
+    monkeypatch.setattr(permrow_io, "_load_exact", spy)
+    return calls
+
+
+class TestUnmappedInput:
+    """A file that cannot be mapped goes to the exact loader through the
+    handle it was opened with."""
+
+    def test_empty_file(self, tmp_path, monkeypatch):
+        calls = spy_exact(monkeypatch)
+        with pytest.raises(DimensionMismatch) as err:
+            load_coverage_csv(write(tmp_path / "c.csv", ""))
+        assert str(err.value) == "file is empty; a header row is required"
+        assert calls == [0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_opened_once(self, tmp_path, monkeypatch):
+        data = split_text(5, 4).encode("utf-8")
+        regular, fifo = tmp_path / "c.csv", tmp_path / "pipe.csv"
+        regular.write_bytes(data)
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(permrow_io, "open", counting_open, raising=False)
+        calls = spy_exact(monkeypatch)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got = load_outcome(load_coverage_csv, fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive() and calls == [6] and opened == [fifo]
+        assert got == load_outcome(load_coverage_csv_per_cell, regular)
 
 
 NUMBER_CELLS = st.one_of(
@@ -193,6 +274,7 @@ FAST_PATH_CASES = {
     "info-separator": (["s1,1\x1c,2", "s2,3,4"], False),
     "blank-line": (["s1,1,2", "", "s2,3,4"], False),
     "blank-value-part": (["s1,1,2", "s2, "], False),
+    "cr-inside-value": (["s1,1\r,2", "s2,3,4"], False),
     "all-value-parts-blank": (["s1,", "s2,"], False),
     "one-row": (["s1,1,2"], False),
     "repeated-id": (["s1,1,2", "s1,3,4"], False),
@@ -207,23 +289,18 @@ FAST_PATH_CASES = {
 
 @pytest.mark.parametrize("rows, fast", FAST_PATH_CASES.values(), ids=FAST_PATH_CASES.keys())
 def test_fast_path_taken_or_declined(tmp_path, monkeypatch, rows, fast):
-    """The loadtxt stage reads exactly the plain numeric tables; on the rest
-    the exact loader gives the per-cell loader's outcome.  Warnings are errors:
-    loadtxt would warn "input contained no data" on all-blank value parts."""
-    exact = permrow_io._load_exact
-    calls = []
-
-    def spy(lines):
-        calls.append(len(lines))
-        return exact(lines)
-
-    monkeypatch.setattr(permrow_io, "_load_exact", spy)
+    """The mapped stage reads exactly the plain numeric tables; on the rest
+    the exact loader gets the file's lines and gives the per-cell loader's
+    outcome.  Warnings are errors: loadtxt would warn "input contained no
+    data" on all-blank value parts."""
+    calls = spy_exact(monkeypatch)
     path = tmp_path / "c.csv"
-    path.write_bytes(("sample,c1,c2\n" + "".join(f"{row}\n" for row in rows)).encode("utf-8"))
+    text = "sample,c1,c2\n" + "".join(f"{row}\n" for row in rows)
+    path.write_bytes(text.encode("utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = load_outcome(load_coverage_csv, path)
-    assert calls == ([] if fast else [len(rows) + 1])
+    assert calls == ([] if fast else [len(io.StringIO(text, newline="").readlines())])
     assert got == load_outcome(load_coverage_csv_per_cell, path)
 
 
@@ -254,8 +331,9 @@ def split_text(n, p, seed=0):
 
 
 class TestSplitParse:
-    """The loadtxt stage parses the second half of the rows in a forked child.
-    Its outcome is the one-block parse's, and no child outlives a load."""
+    """The mapped stage parses the second half of the rows in a forked child,
+    which decodes them from the mapping.  Its outcome is the one-block
+    parse's, and no child outlives a load."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -407,12 +485,10 @@ class TestSplitParse:
                 os.kill(os.getpid(), signal.SIGKILL)
             return pid
 
-        exact = permrow_io._load_exact
-        calls = []
         monkeypatch.setattr(os, "fork", dying_fork)
-        monkeypatch.setattr(permrow_io, "_load_exact", lambda lines: calls.append(1) or exact(lines))
+        calls = spy_exact(monkeypatch)
         assert load_outcome(load_coverage_csv, path) == want
-        assert len(forks) == 1 and calls == [1]
+        assert len(forks) == 1 and calls == [6]
 
 
 LONG_QUOTED = '"' + "1" * 200000 + '"'
