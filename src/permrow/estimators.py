@@ -4,13 +4,15 @@ The spectral estimator projects each row onto the leading right singular
 direction v of the row-centered matrix and reads off the extreme scores.
 The paper's two-step regression form, a per-row least-squares fit on v read
 at its extremes, is that same readout (see ``regression_extremes``).
-Direct sorting, rowwise order statistics, and a sort-trim-OLS proxy for
-iRep serve as baselines.
+Direct sorting, a baseline, reads the observed columns at the two ends of
+the spectral estimate's order and carries that estimate's order and triple,
+so one solve serves all three.  Rowwise order statistics and a
+sort-trim-OLS proxy for iRep, which solve nothing, are the other baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import floor
 
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import InsufficientColumns, NonFiniteEstimate
 from .matrix import (
-    CenteredMatrix,
     SingularTriple,
     _as_matrix,
     center_rows,
@@ -55,57 +56,44 @@ class ExtremeEstimates:
     triple: SingularTriple | None
 
 
-@dataclass(frozen=True)
-class _SpectralContext:
-    y: np.ndarray
-    centered: CenteredMatrix
-    triple: SingularTriple
-    order: np.ndarray
-
-    def estimates(self, method: EstimatorMethod, theta_r, theta_l) -> ExtremeEstimates:
-        """``method``'s estimates, with range = theta_r - theta_l and this
-        context's order and triple."""
-        return ExtremeEstimates(
-            theta_r=theta_r,
-            theta_l=theta_l,
-            range=theta_r - theta_l,
-            permutation_hat=self.order,
-            method=method,
-            triple=self.triple,
-        )
-
-
-def _spectral_context(y, out=None) -> _SpectralContext:
-    """The centered matrix (written into ``out``, as ``center_rows`` takes
-    it), its leading triple and the order of v."""
-    values = np.asarray(y, dtype=float)
-    centered = center_rows(values, out=out)  # validates shape and finiteness
+def _spectral_estimate(
+    y, method: EstimatorMethod = EstimatorMethod.SPECTRAL, out=None
+) -> ExtremeEstimates:
+    """The spectral estimates of ``y``, labelled ``method``: Y centred (into
+    ``out``, as ``center_rows`` takes it), its leading triple and the order of v."""
+    centered = center_rows(y, out=out)  # validates shape and finiteness
     triple = leading_singular_triple(centered)
-    return _SpectralContext(
-        y=values, centered=centered, triple=triple, order=rank_vector(triple.v)
+    xv = triple.lam * triple.u
+    theta_r = float(triple.v.max()) * xv + centered.row_means
+    theta_l = float(triple.v.min()) * xv + centered.row_means
+    return ExtremeEstimates(
+        theta_r=theta_r,
+        theta_l=theta_l,
+        range=theta_r - theta_l,
+        permutation_hat=rank_vector(triple.v),
+        method=method,
+        triple=triple,
     )
 
 
-def _spectral_from_context(
-    ctx: _SpectralContext, method: EstimatorMethod = EstimatorMethod.SPECTRAL
-) -> ExtremeEstimates:
-    v = ctx.triple.v
-    xv = ctx.triple.lam * ctx.triple.u
-    theta_r = float(v.max()) * xv + ctx.centered.row_means
-    theta_l = float(v.min()) * xv + ctx.centered.row_means
-    return ctx.estimates(method, theta_r, theta_l)
-
-
-def _direct_sorting_from_context(ctx: _SpectralContext) -> ExtremeEstimates:
-    order = ctx.order
-    theta_r = ctx.y[:, order[-1]].copy()
-    theta_l = ctx.y[:, order[0]].copy()
-    return ctx.estimates(EstimatorMethod.DIRECT_SORTING, theta_r, theta_l)
+def _direct_sorting(y: np.ndarray, spectral: ExtremeEstimates) -> ExtremeEstimates:
+    """Direct sorting on ``spectral``, the spectral estimate of ``y``: the
+    observed columns that its order ranks last and first, with its order and triple."""
+    order = spectral.permutation_hat
+    theta_r = y[:, order[-1]].copy()
+    theta_l = y[:, order[0]].copy()
+    return replace(
+        spectral,
+        theta_r=theta_r,
+        theta_l=theta_l,
+        range=theta_r - theta_l,
+        method=EstimatorMethod.DIRECT_SORTING,
+    )
 
 
 def spectral_extremes(y) -> ExtremeEstimates:
     """Spectral estimates: theta_r = v_(p) Xv + (1/p) Y e, and the left/range analogues."""
-    return _spectral_from_context(_spectral_context(y))
+    return _spectral_estimate(y)
 
 
 def regression_extremes(y) -> ExtremeEstimates:
@@ -116,12 +104,13 @@ def regression_extremes(y) -> ExtremeEstimates:
     the row means less slope * mean(v).  v is a unit vector orthogonal to e
     (X's rows sum to zero), so mean(v) = 0, c . c = 1 and X c = Xv = lam u:
     the fit is the spectral readout, which is what runs here."""
-    return _spectral_from_context(_spectral_context(y), EstimatorMethod.REGRESSION)
+    return _spectral_estimate(y, EstimatorMethod.REGRESSION)
 
 
 def direct_sorting_extremes(y) -> ExtremeEstimates:
     """Baseline: the observed columns ranked last/first by the score vector."""
-    return _direct_sorting_from_context(_spectral_context(y))
+    values = np.asarray(y, dtype=float)
+    return _direct_sorting(values, _spectral_estimate(values))
 
 
 def order_statistic_extremes(y) -> ExtremeEstimates:

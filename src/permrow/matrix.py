@@ -2,8 +2,10 @@
 
 Row centering, the ascending order of a vector, the leading singular triple
 of the centered matrix, and the residual spectrum of a matrix.  The last two
-share one solve, the top k eigenpairs of the Gram matrix on the smaller side:
-LAPACK dsyevr of numpy's OpenBLAS, or ``np.linalg.eigh`` where that is not found.
+share one solve, the top k eigenpairs of the Gram matrix on the smaller side,
+by LAPACK dsyevr of numpy's OpenBLAS; ``np.linalg.eigh`` is only the fallback
+for a numpy where dsyevr is not found.  Every matrix, a ``CenteredMatrix``
+included, has at least 2 rows and 2 columns, so that side is at least 2.
 This module names every OpenBLAS symbol the package calls, the thread-count
 calls that ``run_monte_carlo`` pins included.
 
@@ -23,12 +25,24 @@ DEFAULT_TOL = 1e-10
 _OVERFLOW = "matrix entries are too large: its singular values overflow"
 
 
+def _check_shape(shape: tuple, name: str, min_rows: int = 2) -> None:
+    if len(shape) != 2 or shape[0] < min_rows or shape[1] < 2:
+        raise ValueError(
+            f"{name} must be 2-d with at least {min_rows} row(s) and 2 columns, got shape {shape}"
+        )
+
+
 @dataclass(frozen=True)
 class CenteredMatrix:
-    """A row-centered matrix together with the removed row means."""
+    """A row-centered matrix of at least 2 rows and 2 columns, together with
+    the removed row means.  Its entries are not checked: an overflowed
+    centring raises GramOverflow in the solve."""
 
     values: np.ndarray
     row_means: np.ndarray
+
+    def __post_init__(self):
+        _check_shape(np.shape(self.values), "centered matrix")
 
 
 @dataclass(frozen=True)
@@ -36,7 +50,7 @@ class SingularTriple:
     """Leading singular value/vectors of a centered matrix, and what the solve measured.
 
     ``u`` has length n, ``v`` has length p, both unit norm.  ``lam2`` is the
-    second singular value (0 for a one-row matrix).  ``residual`` is the
+    second singular value.  ``residual`` is the
     norm of the singular-pair relation that the eigensolve does not make
     exact: ||Xv - lam*u|| when n <= p, ||X^T u - lam*v|| when p < n.
     """
@@ -64,11 +78,7 @@ class SingularTriple:
 
 def _as_matrix(values, name: str = "matrix", min_rows: int = 2) -> np.ndarray:
     a = np.asarray(values, dtype=float)
-    if a.ndim != 2 or a.shape[0] < min_rows or a.shape[1] < 2:
-        raise ValueError(
-            f"{name} must be 2-d with at least {min_rows} row(s) and 2 columns, "
-            f"got shape {a.shape}"
-        )
+    _check_shape(a.shape, name, min_rows)
     if not np.isfinite(a).all():
         raise NonFiniteInput(f"{name} contains NaN or infinite entries")
     return a
@@ -184,14 +194,14 @@ def _top_eigenpairs(
     One dsyevr call asks for eigenpairs n-k+1..n alone, or for their
     eigenvalues alone without ``vectors``; it releases the GIL, so pool
     threads solve at the same time.  A failed call raises
-    NumericalDegeneracyError.  Where dsyevr is not found, or n < k,
-    ``np.linalg.eigh`` solves for all n eigenpairs (mus has min(n, k)).
+    NumericalDegeneracyError.  Where dsyevr is not found,
+    ``np.linalg.eigh`` solves for all n eigenpairs.  Needs k <= n.
     """
     import ctypes
 
     dsyevr = _dsyevr()
     n = gram.shape[0]
-    if dsyevr is None or n < k:  # n < k only for a hand-made one-row CenteredMatrix
+    if dsyevr is None:
         mus, vecs = np.linalg.eigh(gram)
         return mus[::-1][:k], vecs[:, -1] if vectors else None
     gram = np.require(gram, np.float64, ["C", "W"])  # no copy for a Gram product
@@ -262,8 +272,7 @@ def leading_singular_triple(x) -> SingularTriple:
         lam=lam,
         u=u,
         v=v,
-        # a one-row matrix has no second eigenvalue; roundoff can drive it below 0
-        lam2=float(np.ldexp(np.sqrt(mus[1:].max(initial=0.0)), e)),
+        lam2=float(np.ldexp(np.sqrt(np.maximum(0.0, mus[1])), e)),  # roundoff can make mus[1] < 0
         # b^T s = lam_b t holds by construction; b t = lam_b s is what the solve leaves inexact
         residual=float(np.ldexp(np.linalg.norm(bt - lam_b * s), e)),
     )

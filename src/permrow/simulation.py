@@ -43,9 +43,8 @@ import numpy as np
 from .errors import InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFiniteInput, PermrowError
 from .estimators import (
     EstimatorMethod,
-    _direct_sorting_from_context,
-    _spectral_context,
-    _spectral_from_context,
+    _direct_sorting,
+    _spectral_estimate,
     irep_range,
     order_statistic_extremes,
 )
@@ -375,8 +374,8 @@ class RiskReport:
             ],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     def write_csv(self, path) -> None:
         """Tidy CSV: estimator, target, replicate, risk (failed rows omitted)."""
@@ -442,23 +441,16 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
-# regression is the spectral readout under its own label, which risks do not read
-_FROM_CONTEXT = {
-    "spectral": _spectral_from_context,
-    "regression": _spectral_from_context,
-    "ds": _direct_sorting_from_context,
-}
-
-
 def _replicate_risks(
     spec: ScenarioSpec, r: int, estimators: Sequence[str], buffers: _Buffers | None = None
 ) -> list[float]:
     """Replicate r's risks, in the pair order of ``run_monte_carlo``; the
-    spectral, regression and DS estimates share one eigensolve.  With
-    ``buffers``, Y is built in ``buffers[0]`` and centered into
+    spectral, regression and DS risks are read off one spectral estimate
+    (regression is that estimate under its own label, which risks do not
+    read).  With ``buffers``, Y is built in ``buffers[0]`` and centered into
     ``buffers[1]`` once the noise drawn there has been added."""
     y, truths = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)), buffers)
-    ctx = None
+    spectral = None
     risks = []
     for name in estimators:
         if name == "irep":
@@ -467,9 +459,9 @@ def _replicate_risks(
         if name == "os":
             est = order_statistic_extremes(y)
         else:
-            if ctx is None:
-                ctx = _spectral_context(y, out=None if buffers is None else buffers[1])
-            est = _FROM_CONTEXT[name](ctx)
+            if spectral is None:
+                spectral = _spectral_estimate(y, out=None if buffers is None else buffers[1])
+            est = _direct_sorting(y, spectral) if name == "ds" else spectral
         for got, want in zip((est.theta_r, est.theta_l, est.range), truths):
             risks.append(empirical_risk(got, want))
     if not np.isfinite(risks).all():

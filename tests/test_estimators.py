@@ -274,22 +274,26 @@ class TestScoreOrder:
 @pytest.mark.parametrize(
     "read, method",
     [
-        (estimators._spectral_from_context, EstimatorMethod.SPECTRAL),
+        (lambda y, spectral: estimators._spectral_estimate(y), EstimatorMethod.SPECTRAL),
         (
-            lambda ctx: estimators._spectral_from_context(ctx, EstimatorMethod.REGRESSION),
+            lambda y, spectral: estimators._spectral_estimate(y, EstimatorMethod.REGRESSION),
             EstimatorMethod.REGRESSION,
         ),
-        (estimators._direct_sorting_from_context, EstimatorMethod.DIRECT_SORTING),
+        (estimators._direct_sorting, EstimatorMethod.DIRECT_SORTING),
     ],
     ids=["spectral", "regression", "ds"],
 )
-def test_spectral_family_built_on_the_context(read, method):
-    """The readouts of one context share its order and triple, and each
-    range is its theta_r - theta_l."""
-    ctx = estimators._spectral_context(random_growth_observation(np.random.default_rng(61)))
-    est = read(ctx)
+def test_spectral_family_built_on_the_spectral_estimate(read, method):
+    """Each of the family carries the spectral estimate's order (the order
+    of its v) and triple, and each range is its theta_r - theta_l."""
+    y = random_growth_observation(np.random.default_rng(61))
+    spectral = estimators._spectral_estimate(y)
+    est = read(y, spectral)
     assert est.method is method
-    assert est.permutation_hat is ctx.order and est.triple is ctx.triple
+    np.testing.assert_array_equal(est.permutation_hat, spectral.permutation_hat)
+    np.testing.assert_array_equal(est.permutation_hat, np.argsort(est.triple.v, kind="stable"))
+    for f in dataclasses.fields(est.triple):
+        np.testing.assert_array_equal(getattr(est.triple, f.name), getattr(spectral.triple, f.name))
     np.testing.assert_array_equal(est.range, est.theta_r - est.theta_l)
 
 

@@ -301,12 +301,13 @@ class TestEigensolverParity:
         assert t.converged and ref.converged
 
     def test_one_row(self):
-        # a hand-made one-row CenteredMatrix has a 1 x 1 Gram matrix and no second eigenvalue
-        one_row = CenteredMatrix(values=np.array([[1.0, 2.0, 2.0]]), row_means=np.zeros(1))
-        t = leading_singular_triple(one_row)
-        assert t.lam == pytest.approx(3.0, rel=1e-15)
-        np.testing.assert_allclose(t.v, [1 / 3, 2 / 3, 2 / 3], rtol=1e-15)
-        assert t.converged and not t.multiplicity_warning
+        # a one-row CenteredMatrix is refused as a one-row array is, so every
+        # Gram matrix has a side of at least 2
+        with pytest.raises(ValueError) as array_error:
+            leading_singular_triple(np.ones((1, 3)))
+        with pytest.raises(ValueError) as record_error:
+            CenteredMatrix(values=np.array([[1.0, 2.0, 2.0]]), row_means=np.zeros(1))
+        assert str(record_error.value) == str(array_error.value)
 
     def test_lapack_found_where_numpy_links_scipy_openblas(self):
         """Guards against a suite that runs only the eigh fallback."""

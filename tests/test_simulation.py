@@ -37,7 +37,7 @@ from permrow import (
     synthesize_observation,
     trial_seed,
 )
-from permrow import simulation
+from permrow import estimators, simulation
 from permrow.matrix import _openblas_thread_calls, center_rows
 
 from oracles import composed_replicate, signal_matrix
@@ -200,29 +200,35 @@ def test_replicate_matches_public_composition(kind, permutation, sigma):
 
 
 def test_replicate_centres_into_second_buffer(monkeypatch):
-    """The shared spectral context centres Y (in buffer 0) into buffer 1,
-    with the bytes ``center_rows`` gives on a new array."""
-    contexts = []
-    spectral_context = simulation._spectral_context
+    """The shared spectral estimate centres Y (in buffer 0) into buffer 1,
+    with the bytes ``center_rows`` gives on a new array, and solves once."""
+    calls, solves = [], []
+    solve = estimators.leading_singular_triple
 
-    def spy(*args, **kwargs):
-        ctx = spectral_context(*args, **kwargs)
-        contexts.append((ctx, ctx.y.copy(), ctx.centered.values.copy()))  # buffers get reused
-        return ctx
+    def spy(values, out=None):
+        got = center_rows(values, out=out)
+        calls.append((values, got, values.copy(), got.values.copy()))  # buffers get reused
+        return got
 
-    monkeypatch.setattr(simulation, "_spectral_context", spy)
+    def counting_solve(x):
+        solves.append(x)
+        return solve(x)
+
+    monkeypatch.setattr(estimators, "center_rows", spy)
+    monkeypatch.setattr(estimators, "leading_singular_triple", counting_solve)
     spec = ScenarioSpec(kind=ScenarioKind.S2, n=12, p=50, alpha=3.0, sigma=1.0, seed=4)
     buffers = (np.full((12, 50), np.nan), np.full((12, 50), np.nan))
     for r in range(3):
         risks = simulation._replicate_risks(spec, r, ALL_ESTIMATORS, buffers)
         assert risks == simulation._replicate_risks(spec, r, ALL_ESTIMATORS)
-    assert len(contexts) == 6  # a buffered and an allocating call per replicate
-    for (ctx, y, centred), (ref, _, _) in zip(contexts[::2], contexts[1::2]):
-        assert np.shares_memory(ctx.y, buffers[0])
-        assert np.shares_memory(ctx.centered.values, buffers[1])
-        assert not any(np.shares_memory(ref.centered.values, buf) for buf in buffers)
-        assert y.tobytes() == ref.y.tobytes()
-        assert centred.tobytes() == center_rows(ref.y).values.tobytes()
+    # a buffered and an allocating call per replicate, one centring and one solve each
+    assert len(calls) == len(solves) == 6
+    for (y_arg, got, y, centred), (ref_arg, ref, _, _) in zip(calls[::2], calls[1::2]):
+        assert np.shares_memory(y_arg, buffers[0])
+        assert np.shares_memory(got.values, buffers[1])
+        assert not any(np.shares_memory(ref.values, buf) for buf in buffers)
+        assert y.tobytes() == ref_arg.tobytes()
+        assert centred.tobytes() == center_rows(ref_arg).values.tobytes()
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.S1, ScenarioKind.S2])
