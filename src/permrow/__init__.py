@@ -23,7 +23,6 @@ from .estimators import (
     ExtremeEstimates,
     direct_sorting_extremes,
     irep_extremes,
-    irep_range,
     order_statistic_extremes,
     regression_extremes,
     spectral_extremes,

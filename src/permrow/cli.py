@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"permrow: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

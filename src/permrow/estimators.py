@@ -133,8 +133,9 @@ def order_statistic_extremes(y) -> ExtremeEstimates:
     )
 
 
-def irep_range(y) -> np.ndarray:
-    """Sort-trim-OLS proxy for the iRep log-PTR estimate, per sample.
+def irep_extremes(y) -> ExtremeEstimates:
+    """Sort-trim-OLS proxy for the iRep log-PTR estimate: a range per
+    sample, and no extremes, scores or permutation.
 
     Each row is sorted ascending, ``floor(IREP_TRIM * p)`` entries are
     dropped from each end, ordinary least squares is fit against the index
@@ -155,16 +156,10 @@ def irep_range(y) -> np.ndarray:
     denom = float(x @ x)
     window = np.sort(values, axis=1)[:, t : p - t]
     slopes = window @ x / denom
-    return slopes * (p - 1)
-
-
-def irep_extremes(y) -> ExtremeEstimates:
-    """The iRep proxy as estimates: ``irep_range`` per sample, and no
-    extremes, scores or permutation."""
     return ExtremeEstimates(
         theta_r=None,
         theta_l=None,
-        range=irep_range(y),
+        range=slopes * (p - 1),
         permutation_hat=None,
         method=EstimatorMethod.IREP,
         triple=None,

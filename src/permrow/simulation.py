@@ -45,7 +45,7 @@ from .estimators import (
     EstimatorMethod,
     _direct_sorting,
     _spectral_estimate,
-    irep_range,
+    irep_extremes,
     order_statistic_extremes,
 )
 from .matrix import _openblas_thread_calls, _pow2_scaled
@@ -122,6 +122,21 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_float(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number; ``float()`` would read
+    "3" as 3.0 and true as 1.0.  NaN and infinity pass, for the spec's own check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidScenario(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_floats(value, name: str) -> tuple[float, ...]:
+    """``value`` as a tuple of floats when it is a JSON list of numbers."""
+    if not isinstance(value, list):
+        raise InvalidScenario(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_json_float(x, f"{name} entry") for x in value)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Configuration of one simulation cell; JSON round-trippable."""
@@ -191,8 +206,8 @@ class ScenarioSpec:
                 kind=ScenarioKind(doc["kind"]),
                 n=_json_int(doc["n"], "n"),
                 p=_json_int(doc["p"], "p"),
-                alpha=float(doc.get("alpha", 1.0)),
-                sigma=float(doc.get("sigma", 1.0)),
+                alpha=_json_float(doc.get("alpha", 1.0), "alpha"),
+                sigma=_json_float(doc.get("sigma", 1.0), "sigma"),
                 permutation=PermutationKind(doc.get("permutation", "UniformRandom")),
                 seed=_json_int(doc.get("seed", 0), "seed"),
                 given_permutation=(
@@ -200,9 +215,9 @@ class ScenarioSpec:
                     if "givenPermutation" in doc
                     else None
                 ),
-                a=tuple(float(x) for x in doc["a"]) if "a" in doc else None,
-                eta=tuple(float(x) for x in doc["eta"]) if "eta" in doc else None,
-                b=tuple(float(x) for x in doc["b"]) if "b" in doc else None,
+                a=_json_floats(doc["a"], "a") if "a" in doc else None,
+                eta=_json_floats(doc["eta"], "eta") if "eta" in doc else None,
+                b=_json_floats(doc["b"], "b") if "b" in doc else None,
             )
         except KeyError as exc:
             raise InvalidScenario(f"scenario config lacks the key {exc}") from None
@@ -453,17 +468,17 @@ def _replicate_risks(
     spectral = None
     risks = []
     for name in estimators:
-        if name == "irep":
-            risks.append(empirical_risk(irep_range(y), truths[2]))
-            continue
         if name == "os":
             est = order_statistic_extremes(y)
+        elif name == "irep":
+            est = irep_extremes(y)
         else:
             if spectral is None:
                 spectral = _spectral_estimate(y, out=None if buffers is None else buffers[1])
             est = _direct_sorting(y, spectral) if name == "ds" else spectral
         for got, want in zip((est.theta_r, est.theta_l, est.range), truths):
-            risks.append(empirical_risk(got, want))
+            if got is not None:  # irep estimates the range only
+                risks.append(empirical_risk(got, want))
     if not np.isfinite(risks).all():
         raise NonFiniteEstimate("a risk overflowed to a non-finite value")
     return risks

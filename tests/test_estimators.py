@@ -17,7 +17,6 @@ from permrow import (
     generate_s1,
     generate_s2,
     irep_extremes,
-    irep_range,
     order_statistic_extremes,
     regression_extremes,
     rng_stream,
@@ -193,10 +192,10 @@ class TestOrderStatistic:
 class TestIrep:
     # irep trims floor(0.05 p) entries of each end: none below p = 20
     def test_exact_linear_row(self):
-        np.testing.assert_allclose(irep_range([-1.0, 0.0, 1.0]), [2.0])
+        np.testing.assert_allclose(irep_extremes([-1.0, 0.0, 1.0]).range, [2.0])
 
     def test_constant_row(self):
-        np.testing.assert_allclose(irep_range([5.0, 5.0, 5.0, 5.0]), [0.0])
+        np.testing.assert_allclose(irep_extremes([5.0, 5.0, 5.0, 5.0]).range, [0.0])
 
     @pytest.mark.parametrize("p, t", [(19, 0), (40, 2)])
     def test_matches_exact_normal_equations(self, p, t):
@@ -205,11 +204,11 @@ class TestIrep:
         xs = np.arange(p)[t : p - t]
         ys = np.sort(row)[t : p - t]
         expected = float(exact_ols_slope(xs, ys)) * (p - 1)
-        assert irep_range(row)[0] == pytest.approx(expected, abs=1e-10)
+        assert irep_extremes(row).range[0] == pytest.approx(expected, abs=1e-10)
 
     def test_trimming_drops_columns(self):
         with pytest.raises(InsufficientColumns):
-            irep_range(np.array([1.0, 2.0]))
+            irep_extremes(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize(
         "y, error",
@@ -226,12 +225,13 @@ class TestIrep:
     )
     def test_validation_error_classes(self, y, error):
         with pytest.raises(error):
-            irep_range(y)
+            irep_extremes(y)
 
     def test_extremes_carry_the_range_only(self):
         y = np.random.default_rng(55).normal(size=(4, 30))
         est = irep_extremes(y)
-        np.testing.assert_array_equal(est.range, irep_range(y))
+        # each row's range is that of the row alone, read as one sample
+        np.testing.assert_allclose(est.range, [irep_extremes(row).range[0] for row in y])
         assert est.method is EstimatorMethod.IREP
         assert (est.theta_r, est.theta_l) == (None, None)
         assert est.permutation_hat is None and est.triple is None

@@ -27,7 +27,7 @@ from permrow import (
     empirical_risk,
     generate_s1,
     generate_s2,
-    irep_range,
+    irep_extremes,
     order_statistic_extremes,
     regression_extremes,
     rng_stream,
@@ -274,6 +274,7 @@ PUBLIC_ESTIMATORS = {
     "regression": regression_extremes,
     "ds": direct_sorting_extremes,
     "os": order_statistic_extremes,
+    "irep": irep_extremes,
 }
 
 
@@ -288,12 +289,10 @@ def _reference_monte_carlo(spec: ScenarioSpec, reps: int):
         try:
             with np.errstate(all="ignore"):
                 for name in ALL_ESTIMATORS:
-                    if name == "irep":
-                        row.append(empirical_risk(irep_range(y), truth[2]))
-                        continue
                     est = PUBLIC_ESTIMATORS[name](y)
                     for got, want in zip((est.theta_r, est.theta_l, est.range), truth):
-                        row.append(empirical_risk(got, want))
+                        if got is not None:  # irep estimates the range only
+                            row.append(empirical_risk(got, want))
         except PermrowError as exc:
             failures.append((r, type(exc).__name__, str(exc)))
             row = [np.nan] * len(ALL_PAIRS)
@@ -641,6 +640,35 @@ class TestScenarioValidation:
         # int() would truncate 10.7 to 10 and run the wrong scenario
         with pytest.raises(InvalidScenario, match="must be an integer"):
             ScenarioSpec.from_json_dict({**self.BASE, **bad})
+
+    CUSTOM = {"kind": "CustomLinear", "n": 2, "p": 3, "a": [1, 2], "eta": [0, 1, 2], "b": [4, 5]}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"alpha": "3"}, "alpha must be a number"),
+            ({"sigma": True}, "sigma must be a number"),
+            ({"a": "12", "eta": "123", "b": "45"}, "a must be a list"),
+            ({"eta": "123"}, "eta must be a list"),
+            ({"a": ["1", 2]}, "a entry must be a number"),
+            ({"b": [True, 5]}, "b entry must be a number"),
+        ],
+        ids=["alpha-string", "sigma-bool", "all-strings", "eta-string", "a-entry", "b-entry-bool"],
+    )
+    def test_non_number_rejected(self, bad, message):
+        # float() would read "3" as 3.0, true as 1.0 and "123" as (1.0, 2.0, 3.0)
+        with pytest.raises(InvalidScenario, match=message):
+            ScenarioSpec.from_json_dict({**self.CUSTOM, **bad})
+
+    def test_json_integers_accepted(self):
+        spec = ScenarioSpec.from_json_dict({**self.CUSTOM, "alpha": 3, "sigma": 0})
+        assert (spec.alpha, spec.sigma, spec.a, spec.eta) == (3.0, 0.0, (1.0, 2.0), (0.0, 1.0, 2.0))
+        assert all(type(x) is float for x in (spec.alpha, spec.sigma, *spec.a, *spec.eta, *spec.b))
+
+    @pytest.mark.parametrize("bad", [{"alpha": 10**400}, {"a": [10**400, 1]}], ids=["alpha", "a-entry"])
+    def test_huge_integer_malformed(self, bad):
+        with pytest.raises(InvalidScenario, match="malformed scenario config"):
+            ScenarioSpec.from_json_dict({**self.CUSTOM, **bad})
 
     @pytest.mark.parametrize("field", ["alpha", "sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
