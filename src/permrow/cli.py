@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, NonFiniteEstimate, NumericalDegeneracyError
+from .errors import InputError, InvalidScenario, NonFiniteEstimate, NumericalDegeneracyError
 from .estimators import (
     EstimatorMethod,
     direct_sorting_extremes,
@@ -65,7 +65,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise InvalidScenario("scenario config is nested too deeply") from None
     spec = dataclasses.replace(ScenarioSpec.from_json_dict(doc), seed=args.seed)
     report = run_monte_carlo(
         spec,

@@ -42,10 +42,14 @@ class EstimatorMethod(Enum):
 class ExtremeEstimates:
     """Per-sample extreme-column and range estimates.
 
-    ``range`` always equals ``theta_r - theta_l`` as computed, when both
-    extremes are defined.  ``permutation_hat`` is the 0-based int64 column
-    order of the scores ``triple.v``, ties broken left to right.  SVD-free
-    methods (order statistic, iRep) carry ``None`` for the spectral fields.
+    In the log-scale record that every estimator returns, ``range`` equals
+    ``theta_r - theta_l`` as computed, when both extremes are defined.  The
+    exp-scale copy that ``permrow estimate --exp`` writes holds exp of
+    ``theta_r``, ``theta_l`` and ``range``, so its range is the
+    peak-to-trough ratio ``theta_r / theta_l`` (to rounding), not their
+    difference.  ``permutation_hat`` is the 0-based int64 column order of
+    the scores ``triple.v``, ties broken left to right.  SVD-free methods
+    (order statistic, iRep) carry ``None`` for the spectral fields.
     """
 
     theta_r: np.ndarray | None

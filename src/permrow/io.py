@@ -241,10 +241,6 @@ def load_coverage_csv(path) -> CoverageTable:
     return _load_exact(lines)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
-
-
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted, with quotes doubled, when it holds a
     comma, a quote or a line break.  csv.writer with a '\\n' line terminator
@@ -264,15 +260,16 @@ def write_estimates_csv(
     n = len(estimates.range)
     if len(sample_ids) != n:
         raise ValueError(f"{len(sample_ids)} sample ids for {n} estimates")
+    columns = [
+        [""] * n if column is None else [f"{x:.12g}" for x in column.tolist()]
+        for column in (estimates.theta_r, estimates.theta_l, estimates.range)
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sampleId,thetaR,thetaL,range,method\n")
-        for i, sid in enumerate(sample_ids):
-            tr = None if estimates.theta_r is None else float(estimates.theta_r[i])
-            tl = None if estimates.theta_l is None else float(estimates.theta_l[i])
-            fh.write(
-                f"{_csv_field(sid)},{_fmt(tr)},{_fmt(tl)},{_fmt(float(estimates.range[i]))},"
-                f"{estimates.method.value}\n"
-            )
+        fh.writelines(
+            f"{_csv_field(sid)},{tr},{tl},{rg},{estimates.method.value}\n"
+            for sid, tr, tl, rg in zip(sample_ids, *columns)
+        )
 
 
 def load_grouped_csv(path) -> list[tuple[str, np.ndarray]]:

@@ -397,10 +397,10 @@ class RiskReport:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("estimator,target,replicate,risk\n")
             for s in self.summaries:
-                for r, risk in enumerate(s.risks):
-                    if np.isnan(risk):
-                        continue
-                    fh.write(f"{s.estimator},{s.target},{r},{risk:.17g}\n")
+                fh.writelines(
+                    f"{s.estimator},{s.target},{r},{risk:.17g}\n"
+                    for r, risk in enumerate(s.risks.tolist()) if not np.isnan(risk)
+                )
 
 
 def _generate_replicate(

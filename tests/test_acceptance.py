@@ -179,6 +179,15 @@ def test_criterion_5_simulation_replication():
     # these cells.  There the assertion is that the spectral / direct-sorting
     # ratio and the spectral mean fall strictly as n, and with it
     # t^2 / (sigma^2 sqrt(np)), grows.
+    #
+    # Two sweeps at n = 50 (40 replicates each) pin where spectral wins, as
+    # the measured medians show it.  In S1 the spectral / direct-sorting ratio
+    # falls to about 1 as alpha grows: v then sits on the two end columns, so
+    # the spectral range reads the same two noisy columns that direct sorting
+    # reads.  In CustomLinear with eta = -1 on the first k columns and +1 on
+    # the last k, v spreads over 2k columns, while direct sorting still reads
+    # one raw column at each end: from k = 5 on, spectral < ds < os.  eta is
+    # kept nondecreasing, since the truth is read at the end columns.
     start = time.perf_counter()
     alpha, sigma, p, seed = 3.0, 1.0, 1000, 20260823
     failures = []
@@ -227,12 +236,39 @@ def test_criterion_5_simulation_replication():
         failures.append("S1 spectral/ds median ratio strictly falling in n")
     if not _strictly_falling(s1_means):
         failures.append("S1 spectral mean strictly falling in n")
+
+    def medians(**kw):
+        spec = ScenarioSpec(n=50, p=p, sigma=sigma, permutation=PermutationKind.UNIFORM_RANDOM,
+                            seed=seed, **kw)
+        report = run_monte_carlo(spec, estimators=("spectral", "ds", "os"), reps=40, threads=2)
+        return [report.summary(e, "range").median for e in ("spectral", "ds", "os")]
+
+    alpha_ratios = {}
+    for strength in (3.0, 10.0, 30.0, 100.0):
+        s, d, _ = medians(kind=ScenarioKind.S1, alpha=strength)
+        alpha_ratios[strength] = s / d
+    if not _strictly_falling([alpha_ratios[a] for a in (3.0, 10.0, 30.0)]):
+        failures.append("S1 n=50 spectral/ds ratio strictly falling in alpha up to 30")
+    if not all(0.95 <= alpha_ratios[a] <= 1.10 for a in (30.0, 100.0)):
+        failures.append("S1 n=50 spectral/ds ratio in [0.95, 1.10] at alpha 30 and 100")
+    details.append("S1 n=50 spectral/ds by alpha " + ", ".join(
+        f"{strength:g}: {r:.3f}" for strength, r in alpha_ratios.items()))
+    rng = np.random.default_rng(7)  # a and b drawn once, held fixed over k
+    a, b = tuple(rng.uniform(0.0, 3.0, 50)), tuple(rng.uniform(0.0, 6.0, 50))
+    for k in (5, 20, 100):
+        eta = (-1.0,) * k + (0.0,) * (p - 2 * k) + (1.0,) * k
+        s, d, o = medians(kind=ScenarioKind.CUSTOM_LINEAR, alpha=alpha, a=a, eta=eta, b=b)
+        if not s < d < o:
+            failures.append(f"CustomLinear k={k} spectral < ds < os")
+        details.append(f"CustomLinear k={k}: spectral {s:.3f} {_relation(s, d)} ds {d:.3f} "
+                       f"{_relation(d, o)} os {o:.3f}")
     elapsed = time.perf_counter() - start
     _verdict(
         5,
         "Monte Carlo range risks: spectral < direct sorting < order statistic "
-        "in every S2 cell; in S1 both below order statistic, with the "
-        "spectral/direct-sorting ratio and the spectral mean falling in n",
+        "in every S2 cell and in CustomLinear with k >= 5 tied end columns; in S1 "
+        "both below order statistic, with the spectral/direct-sorting ratio and the "
+        "spectral mean falling in n, and that ratio falling in alpha to about 1",
         not failures,
         "failed: " + ", ".join(failures or ["none"])
         + "; " + "; ".join(details)

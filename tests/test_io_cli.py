@@ -21,10 +21,14 @@ from oracles import load_coverage_csv_per_cell
 from permrow import (
     DimensionMismatch,
     DuplicateSampleId,
+    EstimatorMethod,
     NonFiniteEstimate,
     ParseError,
+    direct_sorting_extremes,
+    irep_extremes,
     load_coverage_csv,
     order_statistic_extremes,
+    regression_extremes,
     spectral_extremes,
     write_estimates_csv,
 )
@@ -573,6 +577,27 @@ class TestWriteEstimates:
             assert method == "spectral"
             # internal consistency survives the round trip
             assert math.isclose(float(rg), float(tr) - float(tl), abs_tol=1e-10)
+        # every method, and ids that need quoting: each line's exact bytes
+        ids = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rid")
+        quoted = ("plain", '"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\rid"')
+        values = np.random.default_rng(5).normal(size=(5, 10)) + np.linspace(0, 3, 10)
+        for estimate in (spectral_extremes, regression_extremes, direct_sorting_extremes,
+                         order_statistic_extremes, irep_extremes):
+            est = estimate(values)
+            write_estimates_csv(out, est, ids)
+            # irep leaves thetaR and thetaL empty
+            assert (est.theta_r is None) == (est.method is EstimatorMethod.IREP)
+            assert (est.theta_l is None) == (est.method is EstimatorMethod.IREP)
+            columns = (est.theta_r, est.theta_l, est.range)
+            expected = "sampleId,thetaR,thetaL,range,method\n" + "".join(
+                ",".join([
+                    quoted[i],
+                    *("" if c is None else f"{float(c[i]):.12g}" for c in columns),
+                    est.method.value,
+                ]) + "\n"
+                for i in range(5)
+            )
+            assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestCliEstimate:
@@ -787,6 +812,22 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("permrow: error:") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 5000 + "]" * 5000, '{"kind": ' + "[" * 5000 + "]" * 5000 + "}"],
+        ids=["top-level", "kind-value"],
+    )
+    def test_deeply_nested_config_one_line_exit_2(self, tmp_path, capsys, text):
+        cfg = write(tmp_path / "cfg.json", text)
+        code = main(
+            ["simulate", "--config", cfg, "--reps", "1", "--seed", "1",
+             "--output", str(tmp_path / "o.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "permrow: error: scenario config is nested too deeply\n"
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -508,6 +508,23 @@ class TestMonteCarlo:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "estimator,target,replicate,risk"
         assert len(lines) == 1 + 3 * 3 * 3  # 3 estimators x 3 targets x 3 reps
+        # failed replicates have no row; the rest come in order, at full precision
+        failing = run_monte_carlo(
+            self.spec(n=2, p=5, alpha=5e-324, seed=1), ("spectral", "os"), reps=16
+        )
+        failed = set(failing.failed_replicates)
+        assert 0 < len(failed) < 16
+        survivors = [r for r in range(16) if r not in failed]
+        for written, ok in ((report, [0, 1, 2]), (failing, survivors)):
+            written.write_csv(path)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == len(written.summaries) * len(ok)
+            for k, s in enumerate(written.summaries):
+                block = rows[k * len(ok):(k + 1) * len(ok)]
+                assert [row[:2] for row in block] == [[s.estimator, s.target]] * len(ok)
+                assert [int(row[2]) for row in block] == ok
+                assert [row[3] for row in block] == [f"{float(s.risks[r]):.17g}" for r in ok]
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
