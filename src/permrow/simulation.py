@@ -30,12 +30,12 @@ reports may vary in their last digits with that BLAS's thread count.
 from __future__ import annotations
 
 import json
+import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +54,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 TARGETS = ("thetaR", "thetaL", "range")
-_JSON_KEYS = frozenset(
-    ("kind", "n", "p", "alpha", "sigma", "permutation", "seed", "givenPermutation", "a", "eta", "b")
-)
 DEFAULT_ESTIMATORS = ("spectral", "ds", "os")
 # two C-ordered float64 (n, p) arrays that one thread reuses across replicates
 _Buffers = tuple[np.ndarray, np.ndarray]
@@ -115,31 +112,71 @@ def _growth_signal(
     return theta
 
 
-def _json_int(value, name: str) -> int:
-    """``value`` when it is a JSON integer; ``int()`` would truncate 10.7 to 10."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _member(enum: type[Enum], value, name: str) -> Enum:
+    """The member of ``enum`` that is ``value`` or has ``value`` as its JSON value."""
+    for member in enum:
+        if value is member or (isinstance(value, str) and value == member.value):
+            return member
+    names = ", ".join(m.value for m in enum)
+    raise InvalidScenario(f"{name} must be one of {names}, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int when it is an integer; ``int()`` would truncate 10.7 to 10."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidScenario(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
-def _json_float(value, name: str) -> float:
-    """``value`` as a float when it is a JSON number; ``float()`` would read
-    "3" as 3.0 and true as 1.0.  NaN and infinity pass, for the spec's own check."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _real(value, name: str) -> float:
+    """``value`` as a float when it is a real number; ``float()`` would read
+    "3" as 3.0 and True as 1.0.  NaN and infinity pass, for the spec's own check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidScenario(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidScenario(f"malformed scenario config: {name} is too large for a float") from None
 
 
-def _json_floats(value, name: str) -> tuple[float, ...]:
-    """``value`` as a tuple of floats when it is a JSON list of numbers."""
-    if not isinstance(value, list):
-        raise InvalidScenario(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(_json_float(x, f"{name} entry") for x in value)
+def _vector(entry, noun: str, value, name: str) -> tuple | None:
+    """None for None, else ``value`` as a tuple of ``entry``-checked items
+    when it is a list or tuple; a string or a scalar is rejected."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise InvalidScenario(f"{name} must be a list of {noun}, got {value!r}")
+    return tuple(entry(x, f"{name} entry") for x in value)
+
+
+_reals = partial(_vector, _real, "numbers")
+# the scenario config format: JSON key -> (ScenarioSpec field, its check), in
+# the order that to_json_dict writes and __post_init__ checks them
+_JSON_FIELDS = {
+    "kind": ("kind", partial(_member, ScenarioKind)),
+    "n": ("n", _integer),
+    "p": ("p", _integer),
+    "alpha": ("alpha", _real),
+    "sigma": ("sigma", _real),
+    "permutation": ("permutation", partial(_member, PermutationKind)),
+    "seed": ("seed", _integer),
+    "givenPermutation": ("given_permutation", partial(_vector, _integer, "integers")),
+    "a": ("a", _reals),
+    "eta": ("eta", _reals),
+    "b": ("b", _reals),
+}
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Configuration of one simulation cell; JSON round-trippable."""
+    """Configuration of one simulation cell; JSON round-trippable.
+
+    Every field is checked here, for a JSON config and a Python caller alike:
+    ``kind`` and ``permutation`` may be given as their JSON values, ``n``,
+    ``p``, ``seed`` and the permutation entries must be integers, and the
+    other numbers real (stored as floats); a vector must be a list or tuple,
+    and is stored as a tuple.  A wrong type raises ``InvalidScenario``.
+    """
 
     kind: ScenarioKind
     n: int
@@ -154,6 +191,8 @@ class ScenarioSpec:
     b: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for key, (name, check) in _JSON_FIELDS.items():
+            object.__setattr__(self, name, check(getattr(self, name), key))
         if self.n < 2 or self.p < 3:
             raise InvalidScenario("scenario requires n >= 2 and p >= 3")
         if not np.isfinite([self.alpha, self.sigma]).all():
@@ -177,53 +216,26 @@ class ScenarioSpec:
             raise NonFiniteInput("CustomLinear a, eta and b must be finite")
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "kind": self.kind.value,
-            "n": self.n,
-            "p": self.p,
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "permutation": self.permutation.value,
-            "seed": self.seed,
-        }
-        if self.given_permutation is not None:
-            doc["givenPermutation"] = list(self.given_permutation)
-        if self.a is not None:
-            doc["a"] = list(self.a)
-            doc["eta"] = list(self.eta)
-            doc["b"] = list(self.b)
+        doc = {}
+        for key, (name, _) in _JSON_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, Enum):
+                doc[key] = value.value
+            elif value is not None:
+                doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
     @classmethod
     def from_json_dict(cls, doc) -> "ScenarioSpec":
         if not isinstance(doc, dict):
             raise InvalidScenario("scenario config must be a JSON object")
-        unknown = sorted(set(doc) - _JSON_KEYS)
+        unknown = sorted(doc.keys() - _JSON_FIELDS.keys())
         if unknown:
             raise InvalidScenario(f"unknown scenario config keys: {', '.join(unknown)}")
-        try:
-            fields = dict(
-                kind=ScenarioKind(doc["kind"]),
-                n=_json_int(doc["n"], "n"),
-                p=_json_int(doc["p"], "p"),
-                alpha=_json_float(doc.get("alpha", 1.0), "alpha"),
-                sigma=_json_float(doc.get("sigma", 1.0), "sigma"),
-                permutation=PermutationKind(doc.get("permutation", "UniformRandom")),
-                seed=_json_int(doc.get("seed", 0), "seed"),
-                given_permutation=(
-                    tuple(_json_int(j, "givenPermutation entry") for j in doc["givenPermutation"])
-                    if "givenPermutation" in doc
-                    else None
-                ),
-                a=_json_floats(doc["a"], "a") if "a" in doc else None,
-                eta=_json_floats(doc["eta"], "eta") if "eta" in doc else None,
-                b=_json_floats(doc["b"], "b") if "b" in doc else None,
-            )
-        except KeyError as exc:
-            raise InvalidScenario(f"scenario config lacks the key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidScenario(f"malformed scenario config: {exc}") from None
-        return cls(**fields)
+        for key in ("kind", "n", "p"):
+            if key not in doc:
+                raise InvalidScenario(f"scenario config lacks the key {key!r}")
+        return cls(**{_JSON_FIELDS[key][0]: value for key, value in doc.items()})
 
 
 def _draw_signal(
@@ -543,6 +555,10 @@ def run_monte_carlo(
     workers = min(threads, reps)
     with _one_blas_thread():
         if workers > 1:
+            # imported here, not at the top: with the logging it loads, it
+            # would add a few ms to every import of the package
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 try:  # each submit starts a pool thread until there are ``workers``
                     futures = [pool.submit(job, r) for r in range(reps)]

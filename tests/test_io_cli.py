@@ -814,6 +814,29 @@ class TestCliSimulate:
         assert err.startswith("permrow: error:") and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
+    def test_scalar_given_permutation_named(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", json.dumps(
+            {"kind": "S1", "n": 5, "p": 10, "permutation": "Given", "givenPermutation": 5}
+        ))
+        code = main(
+            ["simulate", "--config", cfg, "--reps", "1", "--seed", "1",
+             "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "permrow: error: givenPermutation must be a list of integers, got 5\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_thread_pool_imported_only_by_a_pooled_run(self, run_cli):
+        """A subcommand that starts no worker pool never imports
+        concurrent.futures, nor the logging that it imports."""
+        proc = run_cli("rates", "--t", "5", "--beta-r", "0.5", "--sigma", "1", "--n", "50",
+                       "--p", "1000", env={"PYTHONPROFILEIMPORTTIME": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert "permrow.simulation" in proc.stderr  # the import-time table was written
+        assert "concurrent" not in proc.stderr and "logging" not in proc.stderr
+
     @pytest.mark.parametrize(
         "text",
         ["[" * 5000 + "]" * 5000, '{"kind": ' + "[" * 5000 + "]" * 5000 + "}"],

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from permrow import (
     InvalidScenario,
@@ -41,6 +42,7 @@ from permrow import estimators, simulation
 from permrow.matrix import _openblas_thread_calls, center_rows
 
 from oracles import composed_replicate, signal_matrix
+from strategies import scenario_specs
 
 BLAS = _openblas_thread_calls()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
@@ -641,21 +643,26 @@ class TestScenarioValidation:
                 ScenarioSpec.from_json_dict({**self.BASE, **bad})
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, message",
         [
-            {"n": 10.7},
-            {"n": 10.0},
-            {"n": True},
-            {"p": "50"},
-            {"seed": 1.5},
-            {"permutation": "Given", "givenPermutation": [*range(49), 49.0]},
-            {"permutation": "Given", "givenPermutation": "0123"},
+            ({"n": 10.7}, "n must be an integer"),
+            ({"n": 10.0}, "n must be an integer"),
+            ({"n": True}, "n must be an integer"),
+            ({"p": "50"}, "p must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"permutation": "Given", "givenPermutation": [*range(49), 49.0]},
+             "givenPermutation entry must be an integer"),
+            ({"permutation": "Given", "givenPermutation": "0123"},
+             "^givenPermutation must be a list of integers, got '0123'$"),
+            ({"permutation": "Given", "givenPermutation": 5},
+             "^givenPermutation must be a list of integers, got 5$"),
         ],
-        ids=["fractional", "integral-float", "bool", "string", "seed", "perm-entry", "perm-string"],
+        ids=["fractional", "integral-float", "bool", "string", "seed", "perm-entry", "perm-string",
+             "perm-scalar"],
     )
-    def test_non_integer_rejected(self, bad):
+    def test_non_integer_rejected(self, bad, message):
         # int() would truncate 10.7 to 10 and run the wrong scenario
-        with pytest.raises(InvalidScenario, match="must be an integer"):
+        with pytest.raises(InvalidScenario, match=message):
             ScenarioSpec.from_json_dict({**self.BASE, **bad})
 
     CUSTOM = {"kind": "CustomLinear", "n": 2, "p": 3, "a": [1, 2], "eta": [0, 1, 2], "b": [4, 5]}
@@ -727,6 +734,68 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="with, and only with"):
             ScenarioSpec.from_json_dict({"kind": "S1", "n": 3, "p": 4, **extra})
 
+    CUSTOM_FIELDS = dict(a=(1.0, 2.0), eta=(0.0, 1.0, 2.0), b=(4.0, 5.0))
+
+    @pytest.mark.parametrize(
+        "kind, permutation",
+        [("S1", "Identity"), ("S2", "UniformRandom"), ("CustomLinear", "Given")],
+    )
+    def test_json_values_from_python_build_the_enum_spec(self, kind, permutation):
+        """A Python caller may name kind and permutation by their JSON values,
+        and runs the same scenario as with the enum members."""
+        rest = dict(n=2, p=3, alpha=3.0, sigma=0.5, seed=4)
+        if kind == "CustomLinear":
+            rest.update(self.CUSTOM_FIELDS)
+        if permutation == "Given":
+            rest["given_permutation"] = (2, 0, 1)
+        by_value = ScenarioSpec(kind=kind, permutation=permutation, **rest)
+        by_enum = ScenarioSpec(kind=ScenarioKind(kind), permutation=PermutationKind(permutation), **rest)
+        assert by_value == by_enum
+        assert (by_value.kind, by_value.permutation) == (by_enum.kind, by_enum.permutation)
+        reports = [run_monte_carlo(spec, reps=3).to_json() for spec in (by_value, by_enum)]
+        assert reports[0] == reports[1]
+        if kind == "S1":  # the S1 design, not S2
+            s2 = dataclasses.replace(by_enum, kind=ScenarioKind.S2)
+            assert run_monte_carlo(s2, reps=3).to_json() != reports[0]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"kind": "S9"}, "^kind must be one of S1, S2, CustomLinear, got 'S9'$"),
+            ({"kind": None}, "^kind must be one of S1, S2, CustomLinear, got None$"),
+            ({"permutation": "identity"},
+             "^permutation must be one of Identity, UniformRandom, Given, got 'identity'$"),
+            ({"n": 10.7}, "^n must be an integer, got 10.7$"),
+            ({"p": np.float64(50.0)}, "^p must be an integer"),
+            ({"seed": True}, "^seed must be an integer, got True$"),
+            ({"alpha": "3"}, "^alpha must be a number, got '3'$"),
+            ({"sigma": None}, "^sigma must be a number, got None$"),
+            ({"permutation": PermutationKind.GIVEN, "given_permutation": range(50)},
+             "^givenPermutation must be a list of integers"),
+            ({"kind": ScenarioKind.CUSTOM_LINEAR, "n": 2, "p": 3, **CUSTOM_FIELDS,
+              "eta": np.array([0.0, 1.0, 2.0])}, "^eta must be a list of numbers"),
+            ({"kind": ScenarioKind.CUSTOM_LINEAR, "n": 2, "p": 3, **CUSTOM_FIELDS, "a": (1.0, "2")},
+             "^a entry must be a number, got '2'$"),
+        ],
+        ids=["kind-unknown", "kind-none", "permutation-case", "n-fractional", "p-numpy-float",
+             "seed-bool", "alpha-string", "sigma-none", "given-range", "eta-array", "a-entry"],
+    )
+    def test_wrong_types_from_python_rejected(self, bad, message):
+        """The checks of a JSON config hold for a Python caller too, and name the field."""
+        with pytest.raises(InvalidScenario, match=message):
+            ScenarioSpec(**{"kind": ScenarioKind.S1, "n": 10, "p": 50, **bad})
+
+    def test_python_values_stored_normalised(self):
+        spec = ScenarioSpec(kind="CustomLinear", n=np.int64(2), p=3, alpha=3, sigma=np.float32(0.5),
+                            permutation="Given", given_permutation=[np.int64(2), 0, 1],
+                            a=[1, 2], eta=(0, 1, np.float64(2)), b=[4, 5])
+        assert spec == ScenarioSpec(kind=ScenarioKind.CUSTOM_LINEAR, n=2, p=3, alpha=3.0, sigma=0.5,
+                                    permutation=PermutationKind.GIVEN, given_permutation=(2, 0, 1),
+                                    **self.CUSTOM_FIELDS)
+        assert all(type(x) is int for x in (spec.n, spec.p, spec.seed, *spec.given_permutation))
+        assert all(type(x) is float for x in (spec.alpha, spec.sigma, *spec.a, *spec.eta, *spec.b))
+        assert all(type(v) is tuple for v in (spec.given_permutation, spec.a, spec.eta, spec.b))
+
     def test_custom_linear_lengths_checked(self):
         with pytest.raises(LengthMismatch):
             ScenarioSpec(
@@ -737,6 +806,21 @@ class TestScenarioValidation:
                 eta=(-1.0, 0.0, 0.0, 1.0),
                 b=(0.0, 0.0, 0.0),
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=scenario_specs())
+def test_spec_json_round_trip(spec):
+    """A spec goes through its JSON text and back unchanged, with its keys
+    in the pinned order and no key for a vector it does not hold."""
+    doc = spec.to_json_dict()
+    keys = ["kind", "n", "p", "alpha", "sigma", "permutation", "seed"]
+    if spec.permutation is PermutationKind.GIVEN:
+        keys.append("givenPermutation")
+    if spec.kind is ScenarioKind.CUSTOM_LINEAR:
+        keys += ["a", "eta", "b"]
+    assert list(doc) == keys
+    assert ScenarioSpec.from_json_dict(json.loads(json.dumps(doc))) == spec
 
 
 @needs_openblas
