@@ -1,8 +1,16 @@
 """Exception hierarchy shared across the package.
 
 Two branches matter to the CLI: input/validation problems (exit code 2)
-and numerical degeneracies (exit code 3).
+and numerical degeneracies (exit code 3).  A message that echoes an input
+value shows it through ``shown``, so that it stays one short line.
 """
+
+
+def shown(value) -> str:
+    """``repr(value)`` when it has at most 100 characters; else its first 100
+    characters, an ellipsis and the length of the repr."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:100]}… ({len(text)} characters)"
 
 
 class PermrowError(Exception):

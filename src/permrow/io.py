@@ -13,11 +13,14 @@ rows and their block of the mmap, and leaves with ``os._exit``; the parent
 always waits for it.  Where there is no ``os.fork``, where the fork fails, or
 where other Python threads run, one block is parsed in this process.  Every
 other file, every file with an error in either block, and a file that cannot
-be mapped (empty, or a pipe) goes to the exact loader: it reads the lines of
-the same open handle and converts one record at a time, so that an error names
-the first bad cell.  All give the same ids, value bytes and error messages:
-loadtxt parses each number on its own with ``PyOS_string_to_double``, as
-``float()`` does, and the first stage declines the inputs on which the two
+be mapped (empty, or a pipe) goes to the exact loader; R's ``write.csv``
+output, which quotes labels and ids, is one.  It streams the records of the
+same open handle and holds one record at a time besides the rows parsed, so
+the error it raises is the first in file order, and names the first bad cell
+of its row; the handle decodes 8192 bytes at a time, so a byte that is not
+UTF-8 is met when its block is.  All give the same ids, value bytes and error
+messages: loadtxt parses each number on its own with ``PyOS_string_to_double``,
+as ``float()`` does, and the first stage declines the inputs on which the two
 differ.  Only a quoted record goes through ``csv.reader``, so only a quoted
 field is held to its limit of 131072 characters.  The file must not be
 truncated while it is read: touching a mapped page past its end raises SIGBUS.
@@ -39,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateSampleId, InputError, ParseError
+from .errors import DimensionMismatch, DuplicateSampleId, InputError, ParseError, shown
 from .estimators import ExtremeEstimates
 
 
@@ -55,27 +58,26 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise ParseError(row, col, f"cannot parse {cell!r} as a number") from None
+        raise ParseError(row, col, f"cannot parse {shown(cell)} as a number") from None
     if not math.isfinite(value):
-        raise ParseError(row, col, f"non-finite value {cell!r}")
+        raise ParseError(row, col, f"non-finite value {shown(cell)}")
     return value
 
 
 def _parse_row(cells: list[str], row: int) -> np.ndarray:
     """Convert one row's value cells in a single numpy call.
 
-    numpy parses each string as ``float()`` does; the per-cell scan runs
-    only when that call fails, so that the error names the first bad cell.
+    numpy parses each string as ``float()`` does.  When a cell fails or is not
+    finite, ``_parse_cell`` scans the cells again, one at a time, and names
+    the first bad one.
     """
     try:
         values = np.array(cells, dtype=float)
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        return np.array([_parse_cell(c, row, j) for j, c in enumerate(cells, start=2)])
-    nonfinite = ~np.isfinite(values)
-    if nonfinite.any():
-        j = int(nonfinite.argmax())
-        raise ParseError(row, j + 2, f"non-finite value {cells[j]!r}")
-    return values
+        pass
+    return np.array([_parse_cell(c, row, j) for j, c in enumerate(cells, start=2)])
 
 
 def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -195,7 +197,9 @@ def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable | None:
     return CoverageTable(sample_ids=tuple(ids), values=values)
 
 
-def _load_exact(lines: list[str]) -> CoverageTable:
+def _load_exact(lines: Iterable[str]) -> CoverageTable:
+    """The table in ``lines``, read one record at a time: the first bad
+    record in file order raises."""
     records = _records(lines)
     try:
         _, header = next(records)
@@ -204,21 +208,17 @@ def _load_exact(lines: list[str]) -> CoverageTable:
     p = len(header) - 1
     if p < 2:
         raise DimensionMismatch("need at least 2 position columns")
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows: list[np.ndarray] = []
+    rows: dict[str, np.ndarray] = {}  # sample id -> values, in file order
     for i, record in records:
         if len(record) != p + 1:
             raise DimensionMismatch(f"row {i} has {len(record)} fields, expected {p + 1}")
         sample_id = record[0]
-        if sample_id in seen:
-            raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
-        seen.add(sample_id)
-        ids.append(sample_id)
-        rows.append(_parse_row(record[1:], i))
+        if sample_id in rows:
+            raise DuplicateSampleId(f"duplicate sample id {shown(sample_id)} at row {i}")
+        rows[sample_id] = _parse_row(record[1:], i)
     if len(rows) < 2:
         raise DimensionMismatch("need at least 2 sample rows")
-    return CoverageTable(sample_ids=tuple(ids), values=np.stack(rows))
+    return CoverageTable(sample_ids=tuple(rows), values=np.stack(list(rows.values())))
 
 
 def load_coverage_csv(path) -> CoverageTable:
@@ -237,8 +237,7 @@ def load_coverage_csv(path) -> CoverageTable:
             return table
         # the same handle, still unread: opening a pipe again may wait forever
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    return _load_exact(lines)
+            return _load_exact(fh)
 
 
 def _csv_field(text: str) -> str:

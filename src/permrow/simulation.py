@@ -40,7 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFiniteInput, PermrowError
+from .errors import (
+    InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFiniteInput, PermrowError, shown
+)
 from .estimators import (
     EstimatorMethod,
     _direct_sorting,
@@ -118,13 +120,13 @@ def _member(enum: type[Enum], value, name: str) -> Enum:
         if value is member or (isinstance(value, str) and value == member.value):
             return member
     names = ", ".join(m.value for m in enum)
-    raise InvalidScenario(f"{name} must be one of {names}, got {value!r}")
+    raise InvalidScenario(f"{name} must be one of {names}, got {shown(value)}")
 
 
 def _integer(value, name: str) -> int:
     """``value`` as an int when it is an integer; ``int()`` would truncate 10.7 to 10."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidScenario(f"{name} must be an integer, got {value!r}")
+        raise InvalidScenario(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
@@ -132,7 +134,7 @@ def _real(value, name: str) -> float:
     """``value`` as a float when it is a real number; ``float()`` would read
     "3" as 3.0 and True as 1.0.  NaN and infinity pass, for the spec's own check."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidScenario(f"{name} must be a number, got {value!r}")
+        raise InvalidScenario(f"{name} must be a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -145,7 +147,7 @@ def _vector(entry, noun: str, value, name: str) -> tuple | None:
     if value is None:
         return None
     if not isinstance(value, (list, tuple)):
-        raise InvalidScenario(f"{name} must be a list of {noun}, got {value!r}")
+        raise InvalidScenario(f"{name} must be a list of {noun}, got {shown(value)}")
     return tuple(entry(x, f"{name} entry") for x in value)
 
 

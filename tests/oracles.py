@@ -110,16 +110,24 @@ def load_coverage_csv_per_cell(path) -> CoverageTable:
 
     Same checks, order and messages as ``permrow.load_coverage_csv``, except
     that ``csv.reader`` reads every record here: every field is held to its
-    length limit, and its ``csv.Error`` is raised as it is.
+    length limit, and its ``csv.Error`` is raised as it is.  A message echoes
+    a cell or an id whole when its repr has at most 100 characters, and else
+    the repr's first 100, then "…" and the repr's length in characters.
     """
+
+    def echo(text: str) -> str:
+        quoted = repr(text)
+        if len(quoted) > 100:
+            quoted = quoted[:100] + "… (" + str(len(quoted)) + " characters)"
+        return quoted
 
     def parse_cell(cell: str, row: int, col: int) -> float:
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(row, col, f"cannot parse {cell!r} as a number") from None
+            raise ParseError(row, col, f"cannot parse {echo(cell)} as a number") from None
         if not math.isfinite(value):
-            raise ParseError(row, col, f"non-finite value {cell!r}")
+            raise ParseError(row, col, f"non-finite value {echo(cell)}")
         return value
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -140,7 +148,7 @@ def load_coverage_csv_per_cell(path) -> CoverageTable:
                 )
             sample_id = record[0]
             if sample_id in ids:
-                raise DuplicateSampleId(f"duplicate sample id {sample_id!r} at row {i}")
+                raise DuplicateSampleId(f"duplicate sample id {echo(sample_id)} at row {i}")
             ids.append(sample_id)
             rows.append([parse_cell(c, i, j) for j, c in enumerate(record[1:], start=2)])
     if len(rows) < 2:

@@ -8,6 +8,7 @@ import signal
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from permrow import (
     write_estimates_csv,
 )
 from permrow.cli import entrypoint, main
+from permrow.errors import shown
 from permrow.io import load_grouped_csv
 
 
@@ -93,6 +95,9 @@ PARITY_CORPUS = {
     "bad-cell-then-ragged-row": "sample,c1,c2\ns1,1,2\ns2,1,x\ns3,1\n",
     "blank-line": "sample,c1,c2\ns1,1,2\n\ns2,3,4\n",
     "crlf": "sample,c1,c2\r\ns1,1.25,2\r\ns2,3,-4e-3\r\n",
+    # a message shows the first 100 characters of a long repr
+    "long-bad-cell": one_cell("1" * 150 + "x"),
+    "long-duplicate-id": "sample,c1,c2\n{0},1,2\n{0},3,4\n".format("s" * 150),
 }
 # Bytes that are not UTF-8 raise UnicodeDecodeError wherever they are; a BOM
 # stays in the first header field.  A CR ends a record unless an LF follows.
@@ -152,15 +157,50 @@ class TestLoaderParity:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "o.csv").exists()
 
+    # TextIOWrapper decodes 8192 bytes at a time: a byte that is not UTF-8
+    # past the first chunk is met only after the rows before it
+    LATE_BAD_BYTE = b"".join(b"s%d,1,2\n" % k for k in range(2, 2000)) + b"s,1,\xff\n"
+
+    def test_bad_cell_before_a_late_bad_byte(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"sample,c1,c2\ns1,abc,2\n" + self.LATE_BAD_BYTE)
+        assert path.stat().st_size > 2 * 8192
+        message = "row 2, column 2: cannot parse 'abc' as a number"
+        assert load_outcome(load_coverage_csv, path) == (ParseError, message)
+        assert load_outcome(load_coverage_csv_per_cell, path) == (ParseError, message)
+        assert main(["estimate", "--input", str(path), "--output", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"permrow: error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_compare_bad_cell_before_a_late_bad_byte(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"sampleId,group,value\na,A,abc\n" + self.LATE_BAD_BYTE)
+        assert main(["compare", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "permrow: error: row 2, column 3: cannot parse 'abc' as a number\n"
+        )
+
 
 def spy_exact(monkeypatch):
-    """The line counts the exact loader is called with, as a growing list."""
+    """How many lines each handle that the exact loader is called with holds,
+    as a growing list: the lines it consumed plus any it left unread.  The
+    loader must be given an iterator, never a list of the file's lines."""
     exact = permrow_io._load_exact
     calls = []
 
     def spy(lines):
-        calls.append(len(lines))
-        return exact(lines)
+        assert iter(lines) is lines
+        consumed = []
+
+        def counted():
+            for line in lines:
+                consumed.append(line)
+                yield line
+
+        try:
+            return exact(counted())
+        finally:
+            calls.append(len(consumed) + sum(1 for _ in lines))
 
     monkeypatch.setattr(permrow_io, "_load_exact", spy)
     return calls
@@ -515,6 +555,79 @@ def test_csv_error_one_line_exit_2(tmp_path, capsys, argv, text):
     assert capsys.readouterr().err == (
         "permrow: error: row 3: field larger than field limit (131072)\n"
     )
+
+
+def r_style_csv(values):
+    """``values`` as R's write.csv writes a table: labels and ids quoted."""
+    header = ",".join(['""', *(f'"c{j}"' for j in range(values.shape[1]))])
+    rows = (",".join([f'"s{i}"', *map(repr, row)]) for i, row in enumerate(values.tolist()))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def test_exact_loader_holds_one_record_at_a_time(tmp_path):
+    """A quoted table goes to the exact loader, which holds the rows it has
+    parsed and the record it is reading, not the whole file as text."""
+    want = np.random.default_rng(7).normal(size=(100, 2000))
+    path = write(tmp_path / "c.csv", r_style_csv(want))
+    tracemalloc.start()
+    try:
+        table = load_coverage_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.sample_ids == tuple(f"s{i}" for i in range(100))
+    assert table.values.tobytes() == want.tobytes()
+    assert peak < 2.5 * table.values.nbytes, peak / table.values.nbytes
+
+
+LONG = "x" * 10**6
+
+
+class TestLongValueEchoed:
+    """A message echoes at most the first 100 characters of a value's repr,
+    so a huge value still gives one short stderr line."""
+
+    def test_shown(self):
+        assert shown("abc") == "'abc'"
+        assert shown("y" * 98) == repr("y" * 98)
+        assert shown("y" * 99) == "'" + "y" * 99 + "… (101 characters)"
+        assert shown(LONG) == "'" + "x" * 99 + "… (1000002 characters)"
+        assert shown([1] * 50) == "[" + "1, " * 33 + "… (150 characters)"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["estimate"], f"sample,c1,c2\ns1,{LONG},2\ns2,3,4\n",
+             "row 2, column 2: cannot parse 'xxx"),
+            (["estimate"], f"sample,c1,c2\n{LONG},1,2\n{LONG},3,4\n",
+             "duplicate sample id 'xxx"),
+            (["compare"], f"sampleId,group,value\na,A,1\nb,B,{LONG}\n",
+             "row 3, column 3: cannot parse 'xxx"),
+        ],
+        ids=["coverage-cell", "duplicate-ids", "compare-value"],
+    )
+    def test_input_csv(self, tmp_path, capsys, argv, text, message):
+        argv = [*argv, "--input", write(tmp_path / "in.csv", text)]
+        if argv[0] == "estimate":
+            argv += ["--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"permrow: error: {message}") and err.count("\n") == 1
+        assert "… (1000002 characters)" in err and len(err.encode("utf-8")) < 300
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_scenario_config(self, tmp_path, capsys):
+        config = {"kind": "S1", "n": 5, "p": 10, "alpha": LONG}
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        code = main(["simulate", "--config", cfg, "--reps", "1", "--seed", "1",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"permrow: error: alpha must be a number, got {shown(LONG)}\n"
+        )
+        assert len(err.encode("utf-8")) < 300
+        assert not (tmp_path / "o.csv").exists()
 
 
 AWKWARD_IDS = st.text(
