@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .errors import InputError, InvalidScenario, NonFiniteEstimate, NumericalDegeneracyError
+from .errors import cut, shown
 from .estimators import (
     EstimatorMethod,
     direct_sorting_extremes,
@@ -145,10 +146,12 @@ def _print_json(doc: dict) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as one line; the subparsers are of this class."""
+    """Prints a usage error as one line, cut to 200 characters: argparse's
+    own wording is shorter, so only a long echoed value is cut.  The
+    subparsers are of this class."""
 
     def error(self, message):
-        self.exit(2, f"permrow: error: {message}\n")
+        self.exit(2, f"permrow: error: {cut(message, 200)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +208,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, ValueError, OSError) as exc:
-        print(f"permrow: error: {exc}", file=sys.stderr)
+        path = getattr(exc, "filename", None)  # an OSError's, which str(exc) echoes whole
+        message = exc if path is None else f"[Errno {exc.errno}] {exc.strerror}: {shown(path)}"
+        print(f"permrow: error: {message}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"permrow: error: not enough memory: {exc}", file=sys.stderr)

@@ -2,15 +2,20 @@
 
 Two branches matter to the CLI: input/validation problems (exit code 2)
 and numerical degeneracies (exit code 3).  A message that echoes an input
-value shows it through ``shown``, so that it stays one short line.
+value shows it through ``shown``, or through ``cut`` when it is already
+text, so that it stays one short line.
 """
 
 
+def cut(text: str, width: int = 100) -> str:
+    """``text`` when it has at most ``width`` characters; else its first
+    ``width`` characters, an ellipsis and its length."""
+    return text if len(text) <= width else f"{text[:width]}… ({len(text)} characters)"
+
+
 def shown(value) -> str:
-    """``repr(value)`` when it has at most 100 characters; else its first 100
-    characters, an ellipsis and the length of the repr."""
-    text = repr(value)
-    return text if len(text) <= 100 else f"{text[:100]}… ({len(text)} characters)"
+    """``repr(value)``, cut to 100 characters as ``cut`` does."""
+    return cut(repr(value))
 
 
 class PermrowError(Exception):

@@ -6,15 +6,19 @@ share one solve, the top k eigenpairs of the Gram matrix on the smaller side,
 by LAPACK dsyevr of numpy's OpenBLAS; ``np.linalg.eigh`` is only the fallback
 for a numpy where dsyevr is not found.  Every matrix, a ``CenteredMatrix``
 included, has at least 2 rows and 2 columns, so that side is at least 2.
-This module names every OpenBLAS symbol the package calls, the thread-count
-calls that ``run_monte_carlo`` pins included.
+This module binds numpy's OpenBLAS once, in ``_openblas``, and is the only
+one that touches it: the solve calls its dsyevr, and ``_one_blas_thread``
+holds its process-wide thread count at one while ``run_monte_carlo`` runs.
 
 The public functions here are pure; none mutates its arguments.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,47 +145,62 @@ def _short_gram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 @functools.cache
-def _openblas_function(name: str, restype, *argtypes):
-    """numpy's OpenBLAS function ``name`` as a ctypes function with this
-    signature, or None where it is not found (another BLAS, numpy 1.x).
+def _openblas():
+    """numpy's OpenBLAS as (dsyevr, get_num_threads, set_num_threads), typed
+    ctypes functions, or None where any of the three is not found (another
+    BLAS, numpy 1.x).
 
-    dlsym on numpy's own extension module also searches the libraries it
-    links, which is where the wheel's OpenBLAS lives.
+    dsyevr is LAPACK's, ILP64: 64-bit integers, and the lengths of the three
+    string arguments last.  dlsym on numpy's own extension module also
+    searches the libraries it links, which is where the wheel's OpenBLAS lives.
     """
-    import ctypes
-
-    try:
-        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
-    except (AttributeError, OSError):
-        return None
-    fn.restype, fn.argtypes = restype, argtypes
-    return fn
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of numpy's OpenBLAS thread count, or None where not found."""
-    import ctypes
-
-    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
-    return None if get is None or set_ is None else (get, set_)
-
-
-@functools.cache
-def _dsyevr():
-    """LAPACK dsyevr of numpy's OpenBLAS (ILP64: 64-bit integers, and the
-    lengths of the three string arguments last), or None where not found."""
-    import ctypes
-
     char, i64 = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64)
     f64 = ctypes.POINTER(ctypes.c_double)
-    return _openblas_function(
-        "scipy_dsyevr_64_", None,
-        char, char, char, i64, ctypes.c_void_p, i64, f64, f64, i64, i64, f64, i64,  # JOBZ .. M
-        f64, f64, i64, i64, f64, i64, i64, i64, i64,  # W .. INFO
-        ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t,
-    )
+    signatures = {  # name: (restype, *argtypes)
+        "scipy_dsyevr_64_": (
+            None,
+            char, char, char, i64, ctypes.c_void_p, i64, f64, f64, i64, i64, f64, i64,  # JOBZ .. M
+            f64, f64, i64, i64, f64, i64, i64, i64, i64,  # W .. INFO
+            ctypes.c_size_t, ctypes.c_size_t, ctypes.c_size_t,
+        ),
+        "scipy_openblas_get_num_threads64_": (ctypes.c_int,),
+        "scipy_openblas_set_num_threads64_": (None, ctypes.c_int),
+    }
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return tuple(ctypes.CFUNCTYPE(*types)((name, lib)) for name, types in signatures.items())
+    except (AttributeError, OSError):
+        return None
+
+
+# OpenBLAS's thread count is process-wide, so the bookkeeping of who holds it
+# at one thread is too.
+_blas_lock = threading.Lock()
+_blas_depth = 0  # callers inside _one_blas_thread
+_blas_saved = 0  # thread count to restore when the last of them leaves
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread; overlapping uses from several threads nest."""
+    global _blas_depth, _blas_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    _, get, set_ = blas
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
 
 
 def _top_eigenpairs(
@@ -197,9 +216,7 @@ def _top_eigenpairs(
     NumericalDegeneracyError.  Where dsyevr is not found,
     ``np.linalg.eigh`` solves for all n eigenpairs.  Needs k <= n.
     """
-    import ctypes
-
-    dsyevr = _dsyevr()
+    dsyevr = (_openblas() or (None,))[0]
     n = gram.shape[0]
     if dsyevr is None:
         mus, vecs = np.linalg.eigh(gram)

@@ -22,8 +22,10 @@ numpy links at one thread, and restores the previous count when it returns or
 raises; parallelism comes only from its ``threads`` pool.  Each replicate's
 Gram product and eigensolve then round the same way whatever the BLAS thread
 count, so reports are pure functions of (spec, estimators, reps), independent
-of both ``threads`` and the BLAS thread setting.  Where numpy links another
-BLAS (or numpy 1.x, whose symbols are not looked up), the pin does nothing and
+of both ``threads`` and the BLAS thread setting.  The pin is
+``matrix._one_blas_thread``: ``matrix.py`` binds that library and pins it,
+and this module names none of its symbols.  Where numpy links another BLAS
+(or numpy 1.x, whose symbols are not looked up), the pin does nothing and
 reports may vary in their last digits with that BLAS's thread count.
 """
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 import json
 import numbers
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
@@ -41,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFiniteInput, PermrowError, shown
+    InvalidScenario, LengthMismatch, NonFiniteEstimate, NonFiniteInput, PermrowError, cut, shown
 )
 from .estimators import (
     EstimatorMethod,
@@ -50,7 +51,7 @@ from .estimators import (
     irep_extremes,
     order_statistic_extremes,
 )
-from .matrix import _openblas_thread_calls, _pow2_scaled
+from .matrix import _one_blas_thread, _pow2_scaled
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -233,7 +234,7 @@ class ScenarioSpec:
             raise InvalidScenario("scenario config must be a JSON object")
         unknown = sorted(doc.keys() - _JSON_FIELDS.keys())
         if unknown:
-            raise InvalidScenario(f"unknown scenario config keys: {', '.join(unknown)}")
+            raise InvalidScenario(f"unknown scenario config keys: {cut(', '.join(unknown))}")
         for key in ("kind", "n", "p"):
             if key not in doc:
                 raise InvalidScenario(f"scenario config lacks the key {key!r}")
@@ -440,36 +441,6 @@ def _generate_replicate(
     return y, (theta_r, theta_l, theta_r - theta_l)
 
 
-# OpenBLAS's thread count is process-wide, so the bookkeeping of who holds it
-# at one thread is too.
-_blas_lock = threading.Lock()
-_blas_depth = 0  # run_monte_carlo calls inside _one_blas_thread
-_blas_saved = 0  # thread count to restore when the last of them leaves
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread; overlapping uses from several threads nest."""
-    global _blas_depth, _blas_saved
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                set_(_blas_saved)
-
-
 def _replicate_risks(
     spec: ScenarioSpec, r: int, estimators: Sequence[str], buffers: _Buffers | None = None
 ) -> list[float]:
@@ -532,10 +503,10 @@ def run_monte_carlo(
     known = {e.value for e in EstimatorMethod}
     unknown = [e for e in estimators if e not in known]
     if unknown:
-        raise ValueError(f"unknown estimators: {unknown}")
+        raise ValueError(f"unknown estimators: {shown(unknown)}")
     repeated = sorted({e for e in estimators if estimators.count(e) > 1})
     if repeated:
-        raise ValueError(f"repeated estimators: {repeated}")
+        raise ValueError(f"repeated estimators: {shown(repeated)}")
 
     pairs = [(e, t) for e in estimators for t in (("range",) if e == "irep" else TARGETS)]
     risks = np.full((reps, len(pairs)), np.nan)

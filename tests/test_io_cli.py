@@ -33,8 +33,8 @@ from permrow import (
     spectral_extremes,
     write_estimates_csv,
 )
-from permrow.cli import entrypoint, main
-from permrow.errors import shown
+from permrow.cli import build_parser, entrypoint, main
+from permrow.errors import cut, shown
 from permrow.io import load_grouped_csv
 
 
@@ -593,6 +593,8 @@ class TestLongValueEchoed:
         assert shown("y" * 99) == "'" + "y" * 99 + "… (101 characters)"
         assert shown(LONG) == "'" + "x" * 99 + "… (1000002 characters)"
         assert shown([1] * 50) == "[" + "1, " * 33 + "… (150 characters)"
+        assert cut("y" * 100) == "y" * 100
+        assert cut("y" * 201, 200) == "y" * 200 + "… (201 characters)"
 
     @pytest.mark.parametrize(
         "argv, text, message",
@@ -626,6 +628,56 @@ class TestLongValueEchoed:
         assert err == (
             f"permrow: error: alpha must be a number, got {shown(LONG)}\n"
         )
+        assert len(err.encode("utf-8")) < 300
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, estimators, message",
+        [
+            ({"kind": "S1", "n": 5, "p": 10, LONG: 1}, "os",
+             f"unknown scenario config keys: {cut(LONG)}"),
+            ({"kind": "S1", "n": 5, "p": 10}, LONG, f"unknown estimators: {shown([LONG])}"),
+        ],
+        ids=["config-key", "estimator"],
+    )
+    def test_simulate_names(self, tmp_path, capsys, config, estimators, message):
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        code = main(["simulate", "--config", cfg, "--reps", "1", "--seed", "1",
+                     "--output", str(tmp_path / "o.csv"), "--estimators", estimators])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"permrow: error: {message}\n"
+        assert "… (1000" in err and len(err.encode("utf-8")) < 300
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", "i.csv", "--output", "o.csv", "--method", LONG])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("permrow: error: argument --method: invalid choice: 'xxx")
+        assert err.endswith(" characters)\n") and err.count("\n") == 1
+        assert len(err.encode("utf-8")) < 300
+
+    @pytest.mark.parametrize("width", [200, 201])
+    def test_usage_message_cut_past_200_characters(self, capsys, width):
+        with pytest.raises(SystemExit):
+            build_parser().error("y" * width)
+        assert capsys.readouterr().err == f"permrow: error: {cut('y' * width, 200)}\n"
+
+    @pytest.mark.parametrize("name", ["missing.csv", "x" * 10**5], ids=["short", "long"])
+    def test_os_error_path(self, tmp_path, capsys, monkeypatch, name):
+        """The path of an OSError is echoed through ``shown``: a short one
+        keeps the bytes of ``str(exc)``, a long one is cut."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as raised:
+            open(name, encoding="utf-8")
+        assert main(["estimate", "--input", name, "--output", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        exc = raised.value
+        assert err == f"permrow: error: [Errno {exc.errno}] {exc.strerror}: {shown(name)}\n"
+        if len(name) < 100:
+            assert err == f"permrow: error: {exc}\n"
         assert len(err.encode("utf-8")) < 300
         assert not (tmp_path / "o.csv").exists()
 
@@ -807,6 +859,15 @@ NUMBERS = st.one_of(
 BAD_CELLS = st.sampled_from(["abc", "NA", "", "nan", "inf", "1e500"])
 
 
+def assert_cli_outcome(code, err):
+    """The outcome every CLI fuzz allows: exit 0, 2 or 3, at most one stderr
+    line, no traceback, and fewer than 300 bytes on stderr."""
+    assert code in (0, 2, 3)
+    assert err.count("\n") <= 1, err[:300]
+    assert "Traceback" not in err
+    assert len(err.encode("utf-8")) < 300, err[:300]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 5),
@@ -817,7 +878,7 @@ BAD_CELLS = st.sampled_from(["abc", "NA", "", "nan", "inf", "1e500"])
     data=st.data(),
 )
 def test_estimate_fuzz_exit_code_and_one_line(n, p, defect, method, exp, data):
-    """Any small CSV ends in exit 0, 2 or 3 with at most one stderr line.
+    """Any small CSV ends in exit 0, 2 or 3 with at most one short stderr line.
 
     Rows of finite and huge numbers get at most one defect: a non-numeric
     cell or a short row.  Warnings are errors here, so a numpy
@@ -840,9 +901,7 @@ def test_estimate_fuzz_exit_code_and_one_line(n, p, defect, method, exp, data):
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
             code = main(argv)
-    assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert_cli_outcome(code, err.getvalue())
 
 
 # sizes no machine can allocate: a (reps, pairs) risk array of at least
@@ -925,6 +984,23 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("permrow: error:") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"kind": "S1", "n": 1, "p": 10}), "scenario requires n >= 2 and p >= 3"),
+            (json.dumps({"kind": "S1", "n": 5, "p": 2}), "scenario requires n >= 2 and p >= 3"),
+            ("[1, 2]", "scenario config must be a JSON object"),
+        ],
+        ids=["n-1", "p-2", "list"],
+    )
+    def test_config_guard_one_line_exit_2(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path / "cfg.json", text)
+        code = main(["simulate", "--config", cfg, "--reps", "1", "--seed", "1",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"permrow: error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
 
     def test_scalar_given_permutation_named(self, tmp_path, capsys):
@@ -1011,6 +1087,25 @@ class TestCliSimulate:
         )
         assert not out.exists()
 
+    def test_every_risk_overflows_exit_3_one_line(self, tmp_path, capsys):
+        # the true range 2a and irep's estimate of it both overflow to inf,
+        # so each replicate's one risk is NaN
+        config = {"kind": "CustomLinear", "n": 2, "p": 3, "sigma": 0.0,
+                  "permutation": "Identity", "a": [1.7e308, 1.7e308], "eta": [-1, 0, 1],
+                  "b": [0, 0]}
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", cfg, "--reps", "2", "--seed", "1",
+                         "--output", str(out), "--estimators", "irep"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "permrow: numerical degeneracy: all 2 replicates failed, the first with "
+            "NonFiniteEstimate: a risk overflowed to a non-finite value\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_some_replicates_fail_one_stderr_line(self, tmp_path, capsys, threads):
         # a_i is 0 or 5e-324, so most replicates have a zero centred matrix
@@ -1084,8 +1179,8 @@ ESTIMATOR_LISTS = st.one_of(
 def test_simulate_fuzz_run_flags_exit_code_and_one_line(tokens, reps, threads):
     """Any --estimators list (subsets, repeats, empty, unknown names, stray
     commas and spaces), --reps (also one too large to allocate) and
-    --threads ends in exit 0, 2 or 3 with at most one stderr line; warnings
-    are errors, as in the estimate fuzz."""
+    --threads ends in exit 0, 2 or 3 with at most one short stderr line;
+    warnings are errors, as in the estimate fuzz."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp) / "cfg.json", json.dumps({"kind": "S1", "n": 3, "p": 6}))
         out = Path(tmp) / "o.csv"
@@ -1098,9 +1193,7 @@ def test_simulate_fuzz_run_flags_exit_code_and_one_line(tokens, reps, threads):
             code = main(argv)
         assert out.exists() == (code == 0)
     event(f"exit {code}")
-    assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert_cli_outcome(code, err.getvalue())
 
 
 POSITIVE = st.one_of(
@@ -1143,7 +1236,7 @@ def scenario_configs(draw):
 @settings(max_examples=80, deadline=None)
 @given(config=scenario_configs(), threads=st.sampled_from([1, 2]))
 def test_simulate_fuzz_configs_exit_code_and_one_line(config, threads):
-    """Any small scenario config ends in exit 0, 2 or 3 with at most one
+    """Any small scenario config ends in exit 0, 2 or 3 with at most one short
     stderr line, at one and two threads, with every estimator; warnings are
     errors, as in the estimate fuzz."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1158,9 +1251,7 @@ def test_simulate_fuzz_configs_exit_code_and_one_line(config, threads):
             code = main(argv)
         assert out.exists() == (code == 0)
     event(f"exit {code}")
-    assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert_cli_outcome(code, err.getvalue())
 
 
 class TestCliRates:
@@ -1341,8 +1432,8 @@ def raw_argv(draw, command):
 @given(data=st.data())
 def test_raw_argv_fuzz_exit_code_and_one_line(command, data):
     """Any raw argv, for each subcommand, none and an unknown one, ends in
-    exit 0, 2 or 3 with at most one stderr line and no traceback; warnings
-    are errors, as in the other fuzzes."""
+    exit 0, 2 or 3 with at most one short stderr line and no traceback;
+    warnings are errors, as in the other fuzzes."""
     argv = data.draw(raw_argv(command), label="argv")
     with tempfile.TemporaryDirectory() as tmp:
         paths = {
@@ -1364,9 +1455,7 @@ def test_raw_argv_fuzz_exit_code_and_one_line(command, data):
             except SystemExit as exc:  # argparse: a usage error or --help
                 code = exc.code
     event(f"exit {code}{' (help)' if out.getvalue().startswith('usage:') else ''}")
-    assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1, err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert_cli_outcome(code, err.getvalue())
 
 
 class TestCliCompare:
@@ -1428,6 +1517,22 @@ class TestCliCompare:
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "file is empty; a header row is required"),
+            ("sampleId,group\na,A\nb,B\n", "expected exactly 3 columns: sampleId,group,value"),
+            ("sampleId,group,value\na,A,1\nb,B\n", "row 3 has 2 fields, expected 3"),
+        ],
+        ids=["empty", "two-columns", "short-row"],
+    )
+    def test_malformed_table_one_line_exit_2(self, tmp_path, capsys, text, message):
+        inp = write(tmp_path / "g.csv", text)
+        assert main(["compare", "--input", inp]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"permrow: error: {message}\n"
+
     @pytest.mark.parametrize("test", ["f", "t"])
     def test_non_finite_statistic_exit_3_one_line(self, tmp_path, capsys, test):
         # group A spreads over 1e-160, far below the between-group gap of 1
@@ -1449,11 +1554,10 @@ def _run_json_command(argv):
 
 
 def _assert_strict_json_outcome(code, out, err):
-    """Exit 0, 2 or 3 with at most one stderr line, and on 0 a stdout that
-    parses as JSON with no NaN or Infinity."""
+    """``assert_cli_outcome``, and on exit 0 a stdout that parses as JSON
+    with no NaN or Infinity."""
     event(f"exit {code}")
-    assert code in (0, 2, 3)
-    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert_cli_outcome(code, err)
     if code == 0:
         json.loads(out, parse_constant=pytest.fail)
 
@@ -1480,7 +1584,7 @@ GROUP_VALUES = st.one_of(
 def test_compare_fuzz_exit_code_and_strict_json(sizes, constant, bad_cell, argv, data):
     """Any small grouped CSV (one group, singletons, zero-variance groups,
     values near +-1e308 or tiny, at most one non-numeric cell) ends in exit
-    0, 2 or 3 with at most one stderr line, and prints strict JSON."""
+    0, 2 or 3 with at most one short stderr line, and prints strict JSON."""
     rows = []
     for g, size in enumerate(sizes):
         values = data.draw(st.lists(GROUP_VALUES, min_size=size, max_size=size))
@@ -1515,7 +1619,7 @@ def rate_flag(ordinary):
 )
 def test_rates_fuzz_exit_code_and_strict_json(t, beta_r, beta_l, sigma, n, p):
     """Any rates flags (NaN, +-inf, 0, -1, 1e+-308 and ordinary values) end
-    in exit 0, 2 or 3 with at most one stderr line, and print strict JSON."""
+    in exit 0, 2 or 3 with at most one short stderr line, and print strict JSON."""
     argv = ["rates", f"--t={t}", f"--beta-r={beta_r}", f"--sigma={sigma}", f"--n={n}",
             f"--p={p}", *([] if beta_l is None else [f"--beta-l={beta_l}"])]
     _assert_strict_json_outcome(*_run_json_command(argv))

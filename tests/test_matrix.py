@@ -250,8 +250,8 @@ class TestLeadingSingularTriple:
 
 
 def _without_lapack(monkeypatch):
-    """Make the dsyevr lookup find nothing, so the eigensolve falls back to eigh."""
-    monkeypatch.setattr(matrix, "_dsyevr", lambda: None)
+    """Make the OpenBLAS lookup find nothing, so the eigensolve falls back to eigh."""
+    monkeypatch.setattr(matrix, "_openblas", lambda: None)
 
 
 TIED = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])  # singular values sqrt(2), sqrt(2)
@@ -316,7 +316,7 @@ class TestEigensolverParity:
             blas.get("openblas configuration")
         ):
             pytest.skip("numpy does not link the ILP64 scipy-openblas")
-        assert matrix._dsyevr() is not None
+        assert matrix._openblas() is not None
 
     @pytest.mark.parametrize(
         "shape",
@@ -341,7 +341,7 @@ class TestEigensolverParity:
         def failing(*args):
             args[20]._obj.value = 3  # INFO
 
-        monkeypatch.setattr(matrix, "_dsyevr", lambda: failing)
+        monkeypatch.setattr(matrix, "_openblas", lambda: (failing, None, None))
         with pytest.raises(NumericalDegeneracyError, match="info=3"):
             leading_singular_triple(RANK_ONE)
         with pytest.raises(NumericalDegeneracyError, match="info=3"):

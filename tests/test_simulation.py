@@ -39,12 +39,12 @@ from permrow import (
     trial_seed,
 )
 from permrow import estimators, simulation
-from permrow.matrix import _openblas_thread_calls, center_rows
+from permrow.matrix import _openblas, center_rows
 
 from oracles import composed_replicate, signal_matrix
 from strategies import scenario_specs
 
-BLAS = _openblas_thread_calls()
+BLAS = _openblas() and _openblas()[1:]  # (get, set) of the thread count, or None
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy's OpenBLAS thread calls not found")
 
 
@@ -479,6 +479,17 @@ class TestMonteCarlo:
         risks = report.summary("os", "range").risks
         assert np.isnan(risks[failed]).all()
         assert np.isfinite(np.delete(risks, failed)).all()
+
+    def test_non_finite_risk_fails_its_replicate(self):
+        # irep's range estimate and the true range 2a both overflow to inf:
+        # no estimator raises, and the risk is NaN
+        spec = ScenarioSpec(kind=ScenarioKind.CUSTOM_LINEAR, n=2, p=3, sigma=0.0,
+                            permutation=PermutationKind.IDENTITY, a=(1.7e308, 1.7e308),
+                            eta=(-1.0, 0.0, 1.0), b=(0.0, 0.0))
+        report = run_monte_carlo(spec, estimators=("irep",), reps=2)
+        message = "a risk overflowed to a non-finite value"
+        assert report.failures == tuple((r, "NonFiniteEstimate", message) for r in range(2))
+        assert np.isnan(report.summary("irep", "range").risks).all()
 
     def test_huge_risks_summarized_without_overflow(self):
         # risks near 1e200: the sum of their squares (std) passes the float range
