@@ -146,7 +146,7 @@ def _print_json(doc: dict) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as one line, cut to 200 characters: argparse's
+    """Prints a usage error as one line, cut to 200 bytes: argparse's
     own wording is shorter, so only a long echoed value is cut.  The
     subparsers are of this class."""
 

@@ -6,15 +6,22 @@ value shows it through ``shown``, or through ``cut`` when it is already
 text, so that it stays one short line.
 """
 
+from itertools import accumulate
+
 
 def cut(text: str, width: int = 100) -> str:
-    """``text`` when it has at most ``width`` characters; else its first
-    ``width`` characters, an ellipsis and its length."""
-    return text if len(text) <= width else f"{text[:width]}… ({len(text)} characters)"
+    """``text`` when it is at most ``width`` bytes long as stderr writes it;
+    else its longest prefix of whole characters within ``width`` bytes, an
+    ellipsis and its length in characters.  Bytes are counted in UTF-8, a
+    lone surrogate as the backslash escape that stderr writes in its place,
+    so an ASCII text keeps ``width`` characters."""
+    ends = accumulate(len(c.encode("utf-8", "backslashreplace")) for c in text[:width])
+    keep = sum(end <= width for end in ends)
+    return text if keep == len(text) else f"{text[:keep]}… ({len(text)} characters)"
 
 
 def shown(value) -> str:
-    """``repr(value)``, cut to 100 characters as ``cut`` does."""
+    """``repr(value)``, cut to 100 bytes as ``cut`` does."""
     return cut(repr(value))
 
 

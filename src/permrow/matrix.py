@@ -1,7 +1,10 @@
 """Dense-matrix primitives.
 
 Row centering, the ascending order of a vector, the leading singular triple
-of the centered matrix, and the residual spectrum of a matrix.  The last two
+of the centered matrix, and the residual spectrum of a matrix.  The triple's
+joint sign makes sum_i (Xv)_i positive, or on an exact tie v's first nonzero
+entry negative; the spectral estimators read theta_R and theta_L off the two
+ends of v, so this rule decides which end is which.  The last two
 share one solve, the top k eigenpairs of the Gram matrix on the smaller side,
 by LAPACK dsyevr of numpy's OpenBLAS; ``np.linalg.eigh`` is only the fallback
 for a numpy where dsyevr is not found.  Every matrix, a ``CenteredMatrix``
@@ -80,7 +83,7 @@ class SingularTriple:
         return (self.lam - self.lam2) <= DEFAULT_TOL * self.lam
 
 
-def _as_matrix(values, name: str = "matrix", min_rows: int = 2) -> np.ndarray:
+def _as_matrix(values, name: str, min_rows: int = 2) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     _check_shape(a.shape, name, min_rows)
     if not np.isfinite(a).all():
@@ -101,17 +104,10 @@ def center_rows(values, out=None) -> CenteredMatrix:
     return CenteredMatrix(values=centered, row_means=row_means)
 
 
-def _unwrap(x, name: str = "centered matrix") -> np.ndarray:
+def _unwrap(x) -> np.ndarray:
     if isinstance(x, CenteredMatrix):
         return x.values
-    return _as_matrix(x, name)
-
-
-def _first_nonzero_is_positive(v: np.ndarray) -> bool:
-    for value in v:
-        if value != 0.0:
-            return value > 0.0
-    return False
+    return _as_matrix(x, "centered matrix")
 
 
 def _pow2_scaled(x: np.ndarray, top: float) -> tuple[np.ndarray, int]:
@@ -262,9 +258,11 @@ def leading_singular_triple(x) -> SingularTriple:
     (or X v / lam) with lam = ||X^T u|| (or ||X v||).  The second
     eigenvalue gives lam2.
 
-    The joint sign of (u, v) is the row-majority one: (u, v) is flipped so
-    that sum_i (Xv)_i >= 0, which no column order changes; on an exact tie,
-    so that the first nonzero entry of v is negative.  Raises
+    The joint sign of (u, v) is the row-majority one, set by one sign key:
+    sum_i (Xv)_i, which no column order changes, or on an exact tie minus
+    the first nonzero entry of v.  (u, v) is flipped when the key is
+    negative, so sum_i (Xv)_i >= 0, and on a tie the first nonzero entry of
+    v is negative.  Raises
     ZeroMatrixError when the matrix is identically zero, GramOverflow when
     the top singular value exceeds the float range, and
     NumericalDegeneracyError when the eigensolve fails.
@@ -281,9 +279,8 @@ def leading_singular_triple(x) -> SingularTriple:
     bt = b @ t
     u, v, xv = (s, t, bt) if values.shape[0] <= values.shape[1] else (t, s, bts)
 
-    total = float(xv.sum())
-    flip = total < 0.0 if total != 0.0 else _first_nonzero_is_positive(v)
-    if flip:
+    key = float(xv.sum()) or -v[np.flatnonzero(v)[0]]  # v has unit norm: a nonzero entry exists
+    if key < 0.0:
         u, v = -u, -v
     return SingularTriple(
         lam=lam,

@@ -111,14 +111,16 @@ def load_coverage_csv_per_cell(path) -> CoverageTable:
     Same checks, order and messages as ``permrow.load_coverage_csv``, except
     that ``csv.reader`` reads every record here: every field is held to its
     length limit, and its ``csv.Error`` is raised as it is.  A message echoes
-    a cell or an id whole when its repr has at most 100 characters, and else
-    the repr's first 100, then "…" and the repr's length in characters.
+    a cell or an id whole when its repr has at most 100 bytes in UTF-8, and
+    else the whole characters of the repr's first 100 bytes, then "…" and the
+    repr's length in characters.
     """
 
     def echo(text: str) -> str:
         quoted = repr(text)
-        if len(quoted) > 100:
-            quoted = quoted[:100] + "… (" + str(len(quoted)) + " characters)"
+        data = quoted.encode("utf-8")  # a repr escapes lone surrogates
+        if len(data) > 100:
+            quoted = data[:100].decode("utf-8", "ignore") + "… (" + str(len(quoted)) + " characters)"
         return quoted
 
     def parse_cell(cell: str, row: int, col: int) -> float:

@@ -95,9 +95,11 @@ PARITY_CORPUS = {
     "bad-cell-then-ragged-row": "sample,c1,c2\ns1,1,2\ns2,1,x\ns3,1\n",
     "blank-line": "sample,c1,c2\ns1,1,2\n\ns2,3,4\n",
     "crlf": "sample,c1,c2\r\ns1,1.25,2\r\ns2,3,-4e-3\r\n",
-    # a message shows the first 100 characters of a long repr
+    # a message shows the first 100 bytes of a long repr, in whole characters
     "long-bad-cell": one_cell("1" * 150 + "x"),
     "long-duplicate-id": "sample,c1,c2\n{0},1,2\n{0},3,4\n".format("s" * 150),
+    "long-4-byte-bad-cell": one_cell("\U0001F600" * 30 + "x"),
+    "long-4-byte-duplicate-id": "sample,c1,c2\n{0},1,2\n{0},3,4\n".format("\U0001F600" * 30),
 }
 # Bytes that are not UTF-8 raise UnicodeDecodeError wherever they are; a BOM
 # stays in the first header field.  A CR ends a record unless an LF follows.
@@ -581,11 +583,12 @@ def test_exact_loader_holds_one_record_at_a_time(tmp_path):
 
 
 LONG = "x" * 10**6
+EMOJI = "\U0001F600"  # four bytes in UTF-8
 
 
 class TestLongValueEchoed:
-    """A message echoes at most the first 100 characters of a value's repr,
-    so a huge value still gives one short stderr line."""
+    """A message echoes at most the first 100 bytes of a value's repr, in
+    whole characters, so a huge value still gives one short stderr line."""
 
     def test_shown(self):
         assert shown("abc") == "'abc'"
@@ -595,6 +598,39 @@ class TestLongValueEchoed:
         assert shown([1] * 50) == "[" + "1, " * 33 + "… (150 characters)"
         assert cut("y" * 100) == "y" * 100
         assert cut("y" * 201, 200) == "y" * 200 + "… (201 characters)"
+
+    def test_cut_counts_bytes(self):
+        assert cut(EMOJI * 25) == EMOJI * 25
+        assert cut(EMOJI * 26) == EMOJI * 25 + "… (26 characters)"
+        assert cut("y" * 98 + EMOJI) == "y" * 98 + "… (99 characters)"
+        assert cut("é" * 50) == "é" * 50
+        assert cut("é" * 51) == "é" * 50 + "… (51 characters)"
+        # stderr writes a lone surrogate as a six-byte backslash escape
+        assert cut("\ud800" * 17) == "\ud800" * 16 + "… (17 characters)"
+        assert shown(EMOJI * 10**6) == "'" + EMOJI * 24 + "… (1000002 characters)"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["simulate"], json.dumps({"kind": "S1", "n": 5, "p": 10, "alpha": EMOJI * 10**6}),
+             f"alpha must be a number, got {shown(EMOJI * 10**6)}"),
+            (["estimate"], "sample,c1,c2\n{0},1,2\n{0},3,4\n".format(EMOJI * 200000),
+             f"duplicate sample id {shown(EMOJI * 200000)} at row 3"),
+        ],
+        ids=["scenario-alpha", "duplicate-ids"],
+    )
+    def test_four_byte_characters(self, tmp_path, capsys, argv, text, message):
+        path = write(tmp_path / "in.txt", text)
+        if argv[0] == "simulate":
+            argv += ["--config", path, "--reps", "1", "--seed", "1"]
+        else:
+            argv += ["--input", path]
+        code = main([*argv, "--output", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert err == f"permrow: error: {message}\n"
+        assert code == 2
+        assert_cli_outcome(code, err)
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, text, message",
@@ -763,6 +799,14 @@ class TestWriteEstimates:
                 for i in range(5)
             )
             assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_fewer_ids_than_estimates(self, tmp_path):
+        est = order_statistic_extremes(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError) as exc:
+            write_estimates_csv(out, est, ["s1"])
+        assert str(exc.value) == "1 sample ids for 2 estimates"
+        assert not out.exists()
 
 
 class TestCliEstimate:

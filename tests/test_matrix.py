@@ -223,6 +223,16 @@ class TestLeadingSingularTriple:
         np.testing.assert_allclose(t.v, v, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x @ t.v, t.lam * t.u, rtol=0, atol=1e-12)
 
+        # here v starts with an exact zero, so the second entry decides; the
+        # rows stacked twice keep that v on the column (tall) side
+        x = np.array([[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        x = -x if negate else x
+        x = np.vstack([x, x]) if transpose else x
+        t = leading_singular_triple(x)
+        assert float((x @ t.v).sum()) == 0.0 and t.v[0] == 0.0
+        np.testing.assert_allclose(t.v, np.array([0.0, -1.0, 1.0]) / np.sqrt(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x @ t.v, t.lam * t.u, rtol=0, atol=1e-12)
+
     def test_multiplicity_warning_on_tied_spectrum(self):
         x = np.array(
             [
@@ -232,6 +242,15 @@ class TestLeadingSingularTriple:
         )  # two singular values, both sqrt(2)
         t = leading_singular_triple(x)
         assert t.multiplicity_warning
+
+    def test_eigenvector_in_the_null_space(self, monkeypatch):
+        # a solve whose top eigenvector s has X^T s = 0 leaves no direction;
+        # the rows of X are equal, so s = (1, -1)/sqrt(2) is such a vector
+        s = np.array([1.0, -1.0]) / np.sqrt(2)
+        monkeypatch.setattr(matrix, "_top_eigenpairs", lambda gram, k: (np.array([4.0, 0.0]), s))
+        with pytest.raises(ZeroMatrixError) as exc:
+            leading_singular_triple(np.array([[1.0, -1.0], [1.0, -1.0]]))
+        assert str(exc.value) == "leading eigenvector lies in the null space"
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
     def test_against_numpy_svd(self, shape):
@@ -335,6 +354,20 @@ class TestEigensolverParity:
         got = residual_spectrum(x, k)
         _without_lapack(monkeypatch)
         np.testing.assert_allclose(got, residual_spectrum(x, k), rtol=1e-12)
+
+    def test_openblas_none_when_numpy_cannot_be_loaded(self, monkeypatch):
+        """The lookup gives None, and so the eigh fallback, when dlopen fails."""
+
+        def refuse(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(matrix.ctypes, "CDLL", refuse)
+        matrix._openblas.cache_clear()
+        try:
+            assert matrix._openblas() is None
+        finally:
+            monkeypatch.undo()
+            matrix._openblas.cache_clear()  # the next call binds the library again
 
     def test_failed_solve_raises(self, monkeypatch):
         # an info != 0 from LAPACK is an error, never a silent fallback
@@ -463,6 +496,12 @@ class TestRankVector:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
             rank_vector([1.0, np.nan])
+
+    @pytest.mark.parametrize("x", [[[1.0, 2.0], [3.0, 4.0]], []], ids=["2-d", "empty"])
+    def test_not_a_nonempty_vector(self, x):
+        with pytest.raises(ValueError) as exc:
+            rank_vector(x)
+        assert str(exc.value) == "rank_vector expects a nonempty 1-d vector"
 
     def test_order_is_the_int64_stable_argsort(self):
         x = np.random.default_rng(33).integers(0, 20, size=60).astype(float)

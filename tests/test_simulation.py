@@ -38,8 +38,8 @@ from permrow import (
     synthesize_observation,
     trial_seed,
 )
-from permrow import estimators, simulation
-from permrow.matrix import _openblas, center_rows
+from permrow import estimators, matrix, simulation
+from permrow.matrix import _one_blas_thread, _openblas, center_rows
 
 from oracles import composed_replicate, signal_matrix
 from strategies import scenario_specs
@@ -80,6 +80,12 @@ class TestGenerators:
     def test_s1_alpha_to_zero_degenerates(self):
         theta = signal_matrix(generate_s1(3, 5, 1e-12, rng_stream(2)))
         assert np.abs(theta[:, -1] - theta[:, 0]).max() <= 2e-12
+
+    @pytest.mark.parametrize("generate, kind", [(generate_s1, "S1"), (generate_s2, "S2")])
+    def test_needs_three_columns(self, generate, kind):
+        with pytest.raises(ValueError) as exc:
+            generate(3, 2, 1.0, rng_stream(1))
+        assert str(exc.value) == f"{kind} requires p >= 3"
 
     @pytest.mark.parametrize("generate", [generate_s1, generate_s2])
     def test_deterministic(self, generate):
@@ -403,6 +409,16 @@ class TestMonteCarlo:
         report = run_monte_carlo(self.spec(), estimators=("spectral",), reps=1)
         for target in ("thetaR", "thetaL", "range"):
             assert report.summary("spectral", target).risks[0] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "pair", [("spectral", "thetaX"), ("irep", "thetaR"), ("os", "range")],
+        ids=["unknown-target", "irep-extreme", "estimator-not-run"],
+    )
+    def test_summary_of_an_unknown_pair(self, pair):
+        report = run_monte_carlo(self.spec(), estimators=("spectral", "irep"), reps=1)
+        with pytest.raises(KeyError) as exc:
+            report.summary(*pair)
+        assert exc.value.args == (pair,)
 
     def test_deterministic_reruns(self):
         spec = self.spec(sigma=1.0)
@@ -865,6 +881,19 @@ class TestBlasThreadPin:
         run_monte_carlo(self.SPEC, reps=4, threads=2)
         assert seen == [1] * 4
         assert blas_threads() == 2
+
+    def test_no_pin_without_openblas(self, blas_threads, monkeypatch):
+        """Where the OpenBLAS lookup finds nothing, the pin does nothing, and a
+        run solves by the eigh fallback with no failed replicate."""
+        seen = []
+        self.spy_os(monkeypatch, lambda: seen.append(blas_threads()))
+        monkeypatch.setattr(matrix, "_openblas", lambda: None)
+        with _one_blas_thread():
+            assert blas_threads() == 2
+        report = run_monte_carlo(self.SPEC, reps=2, threads=2)
+        assert report.failures == ()
+        assert seen == [2, 2] and blas_threads() == 2
+        assert matrix._blas_depth == 0
 
     def test_restored_after_raise(self, blas_threads, monkeypatch):
         def boom():

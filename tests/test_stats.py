@@ -55,6 +55,16 @@ class TestFTest:
         with pytest.raises(DegenerateVariance):
             f_test_oneway([[1.0, 1.0], [2.0, 2.0]])
 
+    def test_one_group(self):
+        with pytest.raises(ValueError) as exc:
+            f_test_oneway([[1.0, 2.0, 3.0]])
+        assert str(exc.value) == "need at least 2 groups"
+
+    def test_nan_value(self):
+        with pytest.raises(ValueError) as exc:
+            f_test_oneway([[1.0, 2.0, 3.0], [2.0, math.nan, 4.0]])
+        assert str(exc.value) == "group values must be finite"
+
     def test_matches_scipy_oneway(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
@@ -108,6 +118,12 @@ class TestTTest:
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):
             t_test_two_sample([1.0, 1.0], [2.0, 2.0])
+
+    @pytest.mark.parametrize("variant", list(TTestVariant))
+    def test_nan_value(self, variant):
+        with pytest.raises(ValueError) as exc:
+            t_test_two_sample([1.0, math.nan, 3.0], [2.0, 3.0, 4.0], variant)
+        assert str(exc.value) == "group values must be finite"
 
 
 class TestCrossIdentities:
