@@ -21,6 +21,7 @@ from .errors import InputError, InvalidScenario, NonFiniteEstimate, NumericalDeg
 from .errors import cut, shown
 from .estimators import (
     EstimatorMethod,
+    _finite,
     direct_sorting_extremes,
     irep_extremes,
     order_statistic_extremes,
@@ -43,23 +44,17 @@ def _cmd_estimate(args) -> int:
         EstimatorMethod.ORDER_STATISTIC: order_statistic_extremes,
         EstimatorMethod.IREP: irep_extremes,
     }[EstimatorMethod(args.method)]
-    # An overflow shows as a non-finite value below or as a package error,
-    # so numpy's warnings would only add lines to stderr.
+    # An overflow shows as a package error, so numpy's warnings would only
+    # add lines to stderr.
     with np.errstate(all="ignore"):
         est = estimate(table.values)
         if args.exp:
-            est = dataclasses.replace(
+            est = _finite(dataclasses.replace(
                 est,
                 theta_r=None if est.theta_r is None else np.exp(est.theta_r),
                 theta_l=None if est.theta_l is None else np.exp(est.theta_l),
                 range=np.exp(est.range),
-            )
-    values = [v for v in (est.theta_r, est.theta_l, est.range) if v is not None]
-    if not np.isfinite(np.concatenate(values)).all():
-        raise NonFiniteEstimate(
-            "an estimate overflowed to a non-finite value"
-            + (" on the --exp scale" if args.exp else "")
-        )
+            ))
     write_estimates_csv(args.output, est, table.sample_ids)
     return 0
 

@@ -31,6 +31,13 @@ SHAPES = dict(
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
+# CSV cells: moderate floats, and values whose sums, differences, squares or
+# exponentials overflow
+NUMBERS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1.7e308", "-1.7e308", "800", "-800", "0"]),
+)
+
 
 @st.composite
 def scenario_specs(draw) -> ScenarioSpec:

@@ -12,6 +12,7 @@ from permrow import (
     InsufficientColumns,
     NonFiniteEstimate,
     NonFiniteInput,
+    PermrowError,
     ZeroMatrixError,
     direct_sorting_extremes,
     generate_s1,
@@ -25,7 +26,7 @@ from permrow import (
 )
 from permrow import estimators
 from oracles import exact_ols_slope, regression_two_step
-from strategies import SHAPES, gapped_matrix
+from strategies import NUMBERS, SHAPES, gapped_matrix
 
 Y0 = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0]])
 
@@ -174,7 +175,7 @@ class TestOrderStatistic:
     def test_overflowing_range_raises_without_warning(self):
         with np.errstate(all="warn"), warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's overflow warning would raise
-            with pytest.raises(NonFiniteEstimate, match="max - min overflowed"):
+            with pytest.raises(NonFiniteEstimate, match="^range overflowed to a non-finite value$"):
                 order_statistic_extremes([[-1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]])
 
     def test_pure_noise_range_grows_like_sqrt_log_p(self):
@@ -370,3 +371,58 @@ class TestSharedInvariants:
         if est.triple is not None:
             v, order = est.triple.v, est.permutation_hat
             assert v[order[0]] <= v[order[-1]]
+
+
+class TestFinite:
+    """``_finite``, the one check that a public estimator's record is finite."""
+
+    def record(self, **columns):
+        finite = dict(theta_r=np.array([1.0, 2.0]), theta_l=np.array([0.0, 1.0]),
+                      range=np.array([1.0, 1.0]))
+        return ExtremeEstimates(**{**finite, **columns}, permutation_hat=None,
+                                method=EstimatorMethod.ORDER_STATISTIC, triple=None)
+
+    def test_finite_record_returned_as_is(self):
+        est = self.record()
+        assert estimators._finite(est) is est
+        irep = self.record(theta_r=None, theta_l=None)  # None columns are not checked
+        assert estimators._finite(irep) is irep
+
+    @pytest.mark.parametrize(
+        "columns, name",
+        [
+            (dict(theta_r=np.array([np.inf, 2.0])), "thetaR"),
+            (dict(theta_l=np.array([0.0, -np.inf])), "thetaL"),
+            (dict(range=np.array([np.nan, 1.0])), "range"),
+            (dict(theta_r=None, theta_l=None, range=np.array([1.0, np.inf])), "range"),
+            # the first non-finite column in CSV order is named
+            (dict(theta_l=np.array([np.nan, 1.0]), range=np.array([np.inf, 1.0])), "thetaL"),
+        ],
+        ids=["thetaR", "thetaL", "range", "irep-range", "first-in-csv-order"],
+    )
+    def test_names_the_first_non_finite_column(self, columns, name):
+        with pytest.raises(NonFiniteEstimate) as exc:
+            estimators._finite(self.record(**columns))
+        assert str(exc.value) == f"{name} overflowed to a non-finite value"
+
+
+PUBLIC_ESTIMATORS = [spectral_extremes, regression_extremes, direct_sorting_extremes,
+                     order_statistic_extremes, irep_extremes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 5), p=st.integers(3, 5), data=st.data())
+def test_every_public_estimate_finite_or_raises(n, p, data):
+    # the library contract: on finite input whose sums, squares or products
+    # may overflow, each public estimator returns a record whose defined
+    # columns are all finite, or raises a package error
+    y = np.array([data.draw(st.lists(NUMBERS, min_size=p, max_size=p)) for _ in range(n)],
+                 dtype=float)
+    for estimator in PUBLIC_ESTIMATORS:
+        with np.errstate(all="ignore"):
+            try:
+                est = estimator(y)
+            except PermrowError:
+                continue
+        for column in (est.theta_r, est.theta_l, est.range):
+            assert column is None or np.isfinite(column).all(), (estimator.__name__, y)

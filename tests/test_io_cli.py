@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import permrow.io as permrow_io
 from oracles import load_coverage_csv_per_cell
+from strategies import NUMBERS
 from permrow import (
     DimensionMismatch,
     DuplicateSampleId,
@@ -895,11 +896,30 @@ class TestCliEstimate:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows, extra, column",
+        [
+            ("s1,1.7e308,0,-1.7e308\ns2,1,2,3\n", ("--method", "os"), "range"),
+            ("s1,0,1,710\ns2,1,2,3\n", ("--method", "os", "--exp"), "thetaR"),
+            # s3 runs against the row-majority sign, so its thetaL of 711 is
+            # above its thetaR of 709, and exp(711) overflows alone
+            ("s1,0,1,2\ns2,0,1,2\ns3,711,710,709\n", ("--exp",), "thetaL"),
+            ("s1,-400,0,400\ns2,1,2,3\n", ("--exp",), "range"),
+        ],
+        ids=["os-range", "exp-thetaR", "exp-thetaL", "exp-range"],
+    )
+    def test_non_finite_estimate_names_its_column(self, tmp_path, capsys, rows, extra, column):
+        inp = write(tmp_path / "in.csv", "sample,c1,c2,c3\n" + rows)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--input", inp, "--output", str(out), *extra]) == 3
+        assert capsys.readouterr().err == (
+            f"permrow: numerical degeneracy: {column} overflowed to a non-finite value\n"
+        )
+        assert not out.exists()
 
-NUMBERS = st.one_of(
-    st.floats(-1e3, 1e3).map(repr),
-    st.sampled_from(["1e308", "-1e308", "1.7e308", "-1.7e308", "800", "-800", "0"]),
-)
+
 BAD_CELLS = st.sampled_from(["abc", "NA", "", "nan", "inf", "1e500"])
 
 
@@ -1132,23 +1152,29 @@ class TestCliSimulate:
         assert not out.exists()
 
     def test_every_risk_overflows_exit_3_one_line(self, tmp_path, capsys):
-        # the true range 2a and irep's estimate of it both overflow to inf,
-        # so each replicate's one risk is NaN
-        config = {"kind": "CustomLinear", "n": 2, "p": 3, "sigma": 0.0,
-                  "permutation": "Identity", "a": [1.7e308, 1.7e308], "eta": [-1, 0, 1],
-                  "b": [0, 0]}
-        cfg = write(tmp_path / "cfg.json", json.dumps(config))
-        out = tmp_path / "o.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["simulate", "--config", cfg, "--reps", "2", "--seed", "1",
-                         "--output", str(out), "--estimators", "irep"])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "permrow: numerical degeneracy: all 2 replicates failed, the first with "
-            "NonFiniteEstimate: a risk overflowed to a non-finite value\n"
-        )
-        assert not out.exists()
+        cases = [
+            # irep's estimate of the true range 2a overflows to inf
+            ([1.7e308, 1.7e308], [-1, 0, 1], "irep", "range overflowed to a non-finite value"),
+            # every estimate is finite (irep's range is +1e308), but the true
+            # range is -1e308, so the range risk of 2e308 overflows
+            *(([-1e308, -1e308], [-0.5, 0, 0.5], names, "a risk overflowed to a non-finite value")
+              for names in ("irep", "os", "spectral,ds")),
+        ]
+        for a, eta, estimators, message in cases:
+            config = {"kind": "CustomLinear", "n": 2, "p": 3, "sigma": 0.0,
+                      "permutation": "Identity", "a": a, "eta": eta, "b": [0, 0]}
+            cfg = write(tmp_path / "cfg.json", json.dumps(config))
+            out = tmp_path / "o.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["simulate", "--config", cfg, "--reps", "2", "--seed", "1",
+                             "--output", str(out), "--estimators", estimators])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                "permrow: numerical degeneracy: all 2 replicates failed, the first with "
+                f"NonFiniteEstimate: {message}\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_some_replicates_fail_one_stderr_line(self, tmp_path, capsys, threads):
@@ -1576,6 +1602,14 @@ class TestCliCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"permrow: error: {message}\n"
+
+    def test_pooled_t_on_constant_groups_exit_3_one_line(self, tmp_path, capsys):
+        inp = write(tmp_path / "g.csv", "sampleId,group,value\na1,A,1\na2,A,1\na3,A,1\n"
+                    "b1,B,2\nb2,B,2\n")
+        assert main(["compare", "--input", inp, "--test", "t", "--variant", "pooled"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "permrow: numerical degeneracy: pooled variance is zero\n"
 
     @pytest.mark.parametrize("test", ["f", "t"])
     def test_non_finite_statistic_exit_3_one_line(self, tmp_path, capsys, test):

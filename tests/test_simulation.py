@@ -497,15 +497,23 @@ class TestMonteCarlo:
         assert np.isfinite(np.delete(risks, failed)).all()
 
     def test_non_finite_risk_fails_its_replicate(self):
-        # irep's range estimate and the true range 2a both overflow to inf:
-        # no estimator raises, and the risk is NaN
+        # irep's range estimate of the true range 2a overflows to inf, and
+        # irep_extremes raises before any risk is taken
         spec = ScenarioSpec(kind=ScenarioKind.CUSTOM_LINEAR, n=2, p=3, sigma=0.0,
                             permutation=PermutationKind.IDENTITY, a=(1.7e308, 1.7e308),
                             eta=(-1.0, 0.0, 1.0), b=(0.0, 0.0))
         report = run_monte_carlo(spec, estimators=("irep",), reps=2)
-        message = "a risk overflowed to a non-finite value"
+        message = "range overflowed to a non-finite value"
         assert report.failures == tuple((r, "NonFiniteEstimate", message) for r in range(2))
         assert np.isnan(report.summary("irep", "range").risks).all()
+        # every estimate is finite (irep's range is +1e308), but the true
+        # range is -1e308, so the range risk of 2e308 overflows
+        spec = dataclasses.replace(spec, a=(-1e308, -1e308), eta=(-0.5, 0.0, 0.5))
+        message = "a risk overflowed to a non-finite value"
+        for estimators in (("irep",), ("os",), ("spectral", "ds")):
+            report = run_monte_carlo(spec, estimators=estimators, reps=2)
+            assert report.failures == tuple((r, "NonFiniteEstimate", message) for r in range(2))
+            assert np.isnan(report.summary(estimators[0], "range").risks).all()
 
     def test_huge_risks_summarized_without_overflow(self):
         # risks near 1e200: the sum of their squares (std) passes the float range

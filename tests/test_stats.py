@@ -119,6 +119,17 @@ class TestTTest:
         with pytest.raises(DegenerateVariance):
             t_test_two_sample([1.0, 1.0], [2.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "variant, message",
+        [(TTestVariant.POOLED, "pooled variance is zero"),
+         (TTestVariant.WELCH, "both sample variances are zero")],
+        ids=["pooled", "welch"],
+    )
+    def test_constant_samples_message(self, variant, message):
+        with pytest.raises(DegenerateVariance) as exc:
+            t_test_two_sample([1, 1, 1], [2, 2], variant)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("variant", list(TTestVariant))
     def test_nan_value(self, variant):
         with pytest.raises(ValueError) as exc:
