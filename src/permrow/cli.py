@@ -44,17 +44,14 @@ def _cmd_estimate(args) -> int:
         EstimatorMethod.ORDER_STATISTIC: order_statistic_extremes,
         EstimatorMethod.IREP: irep_extremes,
     }[EstimatorMethod(args.method)]
-    # An overflow shows as a package error, so numpy's warnings would only
-    # add lines to stderr.
-    with np.errstate(all="ignore"):
-        est = estimate(table.values)
-        if args.exp:
-            est = _finite(dataclasses.replace(
-                est,
-                theta_r=None if est.theta_r is None else np.exp(est.theta_r),
-                theta_l=None if est.theta_l is None else np.exp(est.theta_l),
-                range=np.exp(est.range),
-            ))
+    est = estimate(table.values)
+    if args.exp:
+        est = _finite(lambda: dataclasses.replace(
+            est,
+            theta_r=None if est.theta_r is None else np.exp(est.theta_r),
+            theta_l=None if est.theta_l is None else np.exp(est.theta_l),
+            range=np.exp(est.range),
+        ))
     write_estimates_csv(args.output, est, table.sample_ids)
     return 0
 

@@ -54,7 +54,10 @@ class ExtremeEstimates:
     Every column that a public estimator's record defines is finite: where
     one is not, the estimator raises ``NonFiniteEstimate`` naming it by its
     CSV name (thetaR, thetaL or range).  ``_finite`` decides this, for
-    ``permrow estimate --exp``'s copy too.
+    ``permrow estimate --exp``'s copy too, and runs the estimate with
+    numpy's floating-point warnings off: a public estimator emits no numpy
+    warning, and whatever ``np.errstate`` the caller set, an overflow ends
+    in a ``PermrowError``.
     """
 
     theta_r: np.ndarray | None
@@ -65,10 +68,13 @@ class ExtremeEstimates:
     triple: SingularTriple | None
 
 
-def _finite(est: ExtremeEstimates) -> ExtremeEstimates:
-    """``est`` when every column it defines is finite; else NonFiniteEstimate
-    naming the first column that is not.  The internal records that
-    simulation scores are not checked: their risks are."""
+def _finite(estimate) -> ExtremeEstimates:
+    """The record ``estimate()`` returns, run with numpy's floating-point
+    errors ignored, when every column it defines is finite; else
+    NonFiniteEstimate naming the first column that is not.  The internal
+    records that simulation scores are not checked: their risks are."""
+    with np.errstate(all="ignore"):
+        est = estimate()
     for name, column in (("thetaR", est.theta_r), ("thetaL", est.theta_l), ("range", est.range)):
         if column is not None and not np.isfinite(column).all():
             raise NonFiniteEstimate(f"{name} overflowed to a non-finite value")
@@ -112,7 +118,7 @@ def _direct_sorting(y: np.ndarray, spectral: ExtremeEstimates) -> ExtremeEstimat
 
 def spectral_extremes(y) -> ExtremeEstimates:
     """Spectral estimates: theta_r = v_(p) Xv + (1/p) Y e, and the left/range analogues."""
-    return _finite(_spectral_estimate(y))
+    return _finite(lambda: _spectral_estimate(y))
 
 
 def regression_extremes(y) -> ExtremeEstimates:
@@ -123,27 +129,25 @@ def regression_extremes(y) -> ExtremeEstimates:
     the row means less slope * mean(v).  v is a unit vector orthogonal to e
     (X's rows sum to zero), so mean(v) = 0, c . c = 1 and X c = Xv = lam u:
     the fit is the spectral readout, which is what runs here."""
-    return _finite(_spectral_estimate(y, EstimatorMethod.REGRESSION))
+    return _finite(lambda: _spectral_estimate(y, EstimatorMethod.REGRESSION))
 
 
 def direct_sorting_extremes(y) -> ExtremeEstimates:
     """Baseline: the observed columns ranked last/first by the score vector."""
     values = np.asarray(y, dtype=float)
-    return _finite(_direct_sorting(values, _spectral_estimate(values)))
+    return _finite(lambda: _direct_sorting(values, _spectral_estimate(values)))
 
 
 def order_statistic_extremes(y) -> ExtremeEstimates:
     """Baseline: rowwise max and min of Y; no SVD involved.  A row whose
-    max - min overflows raises NonFiniteEstimate, without numpy's warning."""
+    max - min overflows raises NonFiniteEstimate."""
     values = _as_matrix(y, "observation matrix")
     theta_r = values.max(axis=1)
     theta_l = values.min(axis=1)
-    with np.errstate(over="ignore"):
-        range_ = theta_r - theta_l
-    return _finite(ExtremeEstimates(
+    return _finite(lambda: ExtremeEstimates(
         theta_r=theta_r,
         theta_l=theta_l,
-        range=range_,
+        range=theta_r - theta_l,
         permutation_hat=None,
         method=EstimatorMethod.ORDER_STATISTIC,
         triple=None,
@@ -172,11 +176,10 @@ def irep_extremes(y) -> ExtremeEstimates:
     x = positions - positions.mean()
     denom = float(x @ x)
     window = np.sort(values, axis=1)[:, t : p - t]
-    slopes = window @ x / denom
-    return _finite(ExtremeEstimates(
+    return _finite(lambda: ExtremeEstimates(
         theta_r=None,
         theta_l=None,
-        range=slopes * (p - 1),
+        range=window @ x / denom * (p - 1),
         permutation_hat=None,
         method=EstimatorMethod.IREP,
         triple=None,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from permrow import (
     EstimatorMethod,
     ExtremeEstimates,
+    GramOverflow,
     InsufficientColumns,
     NonFiniteEstimate,
     NonFiniteInput,
@@ -171,12 +172,6 @@ class TestOrderStatistic:
     def test_constant_row_zero_range(self):
         est = order_statistic_extremes([[3.0, 3.0, 3.0], [1.0, 2.0, 3.0]])
         assert est.range[0] == 0.0
-
-    def test_overflowing_range_raises_without_warning(self):
-        with np.errstate(all="warn"), warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy's overflow warning would raise
-            with pytest.raises(NonFiniteEstimate, match="^range overflowed to a non-finite value$"):
-                order_statistic_extremes([[-1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]])
 
     def test_pure_noise_range_grows_like_sqrt_log_p(self):
         # rowwise max - min of N(0,1) noise scales with sqrt(log p)
@@ -384,9 +379,9 @@ class TestFinite:
 
     def test_finite_record_returned_as_is(self):
         est = self.record()
-        assert estimators._finite(est) is est
+        assert estimators._finite(lambda: est) is est
         irep = self.record(theta_r=None, theta_l=None)  # None columns are not checked
-        assert estimators._finite(irep) is irep
+        assert estimators._finite(lambda: irep) is irep
 
     @pytest.mark.parametrize(
         "columns, name",
@@ -402,7 +397,7 @@ class TestFinite:
     )
     def test_names_the_first_non_finite_column(self, columns, name):
         with pytest.raises(NonFiniteEstimate) as exc:
-            estimators._finite(self.record(**columns))
+            estimators._finite(lambda: self.record(**columns))
         assert str(exc.value) == f"{name} overflowed to a non-finite value"
 
 
@@ -419,10 +414,34 @@ def test_every_public_estimate_finite_or_raises(n, p, data):
     y = np.array([data.draw(st.lists(NUMBERS, min_size=p, max_size=p)) for _ in range(n)],
                  dtype=float)
     for estimator in PUBLIC_ESTIMATORS:
-        with np.errstate(all="ignore"):
+        # and emits no numpy warning, whatever error state its caller set
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
                 est = estimator(y)
             except PermrowError:
                 continue
         for column in (est.theta_r, est.theta_l, est.range):
             assert column is None or np.isfinite(column).all(), (estimator.__name__, y)
+
+
+GRAM_OVERFLOW = (GramOverflow, "matrix entries are too large: its singular values overflow")
+RANGE_OVERFLOW = (NonFiniteEstimate, "range overflowed to a non-finite value")
+
+
+@pytest.mark.parametrize("state", ["warn", "raise"])
+@pytest.mark.parametrize(
+    "estimator, raised",
+    zip(PUBLIC_ESTIMATORS, [GRAM_OVERFLOW] * 3 + [RANGE_OVERFLOW] * 2),
+    ids=["spectral", "regression", "ds", "os", "irep"],
+)
+def test_overflowing_range_raises_without_warning(estimator, raised, state):
+    # an overflow ends in the package error, not in numpy's warning or
+    # FloatingPointError, whatever error state the caller set
+    error, message = raised
+    y = [[1.7e308, 1.7e308, -1.7e308, -1.7e308], [0.0, 1.0, 2.0, 3.0]]
+    with np.errstate(all=state), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            estimator(y)
+    assert str(exc.value) == message
