@@ -3,6 +3,7 @@ column-permuted, approximately rank-one monotone matrices, with baselines,
 minimax-rate calculators, and a reproducible Monte Carlo harness."""
 
 from .errors import (
+    AmbiguousDirection,
     DegenerateVariance,
     DimensionMismatch,
     DuplicateSampleId,
@@ -24,7 +25,6 @@ from .estimators import (
     direct_sorting_extremes,
     irep_extremes,
     order_statistic_extremes,
-    regression_extremes,
     spectral_extremes,
 )
 from .io import CoverageTable, load_coverage_csv, write_estimates_csv
@@ -48,7 +48,6 @@ from .simulation import (
     generate_s2,
     rng_stream,
     run_monte_carlo,
-    splitmix64,
     synthesize_observation,
     trial_seed,
 )
@@ -57,7 +56,6 @@ from .stats import (
     TTestResult,
     TTestVariant,
     f_test_oneway,
-    regularized_incomplete_beta,
     t_test_two_sample,
 )
 from .theory import (

@@ -25,7 +25,6 @@ from .estimators import (
     direct_sorting_extremes,
     irep_extremes,
     order_statistic_extremes,
-    regression_extremes,
     spectral_extremes,
 )
 from .io import load_coverage_csv, load_grouped_csv, write_estimates_csv
@@ -39,7 +38,6 @@ def _cmd_estimate(args) -> int:
     # built per call, so that a name re-bound in this module (as a tracer does) is the one run
     estimate = {
         EstimatorMethod.SPECTRAL: spectral_extremes,
-        EstimatorMethod.REGRESSION: regression_extremes,
         EstimatorMethod.DIRECT_SORTING: direct_sorting_extremes,
         EstimatorMethod.ORDER_STATISTIC: order_statistic_extremes,
         EstimatorMethod.IREP: irep_extremes,

@@ -83,6 +83,11 @@ class GramOverflow(NumericalDegeneracyError):
     """The matrix entries are too large for its singular values to stay finite."""
 
 
+class AmbiguousDirection(NumericalDegeneracyError):
+    """The leading singular direction is not determined: lam2 ties lam, or
+    the solve did not converge."""
+
+
 class NonFiniteEstimate(NumericalDegeneracyError):
     """An estimate of finite input overflowed to an infinite or NaN value."""
 

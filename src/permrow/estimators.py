@@ -3,7 +3,7 @@
 The spectral estimator projects each row onto the leading right singular
 direction v of the row-centered matrix and reads off the extreme scores.
 The paper's two-step regression form, a per-row least-squares fit on v read
-at its extremes, is that same readout (see ``regression_extremes``).
+at its extremes, is that same readout (see ``spectral_extremes``).
 Direct sorting, a baseline, reads the observed columns at the two ends of
 the spectral estimate's order and carries that estimate's order and triple,
 so one solve serves all three.  Rowwise order statistics and a
@@ -18,7 +18,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import InsufficientColumns, NonFiniteEstimate
+from .errors import AmbiguousDirection, InsufficientColumns, NonFiniteEstimate
 from .matrix import (
     SingularTriple,
     _as_matrix,
@@ -32,7 +32,6 @@ IREP_TRIM = 0.05  # the iRep proxy's trim fraction at each end
 
 class EstimatorMethod(Enum):
     SPECTRAL = "spectral"
-    REGRESSION = "regression"
     DIRECT_SORTING = "ds"
     ORDER_STATISTIC = "os"
     IREP = "irep"
@@ -81,13 +80,16 @@ def _finite(estimate) -> ExtremeEstimates:
     return est
 
 
-def _spectral_estimate(
-    y, method: EstimatorMethod = EstimatorMethod.SPECTRAL, out=None
-) -> ExtremeEstimates:
-    """The spectral estimates of ``y``, labelled ``method``: Y centred (into
-    ``out``, as ``center_rows`` takes it), its leading triple and the order of v."""
+def _spectral_estimate(y, out=None) -> ExtremeEstimates:
+    """The spectral estimates of ``y``: Y centred (into ``out``, as
+    ``center_rows`` takes it), its leading triple and the order of v.  A
+    triple whose direction is ambiguous (lam2 within tol of lam) or whose
+    solve did not converge raises AmbiguousDirection: it is never an answer."""
     centered = center_rows(y, out=out)  # validates shape and finiteness
     triple = leading_singular_triple(centered)
+    if triple.multiplicity_warning or not triple.converged:
+        message = f"ambiguous leading direction: lam1 = {triple.lam:.6g}, lam2 = {triple.lam2:.6g}"
+        raise AmbiguousDirection(message)
     xv = triple.lam * triple.u
     theta_r = float(triple.v.max()) * xv + centered.row_means
     theta_l = float(triple.v.min()) * xv + centered.row_means
@@ -96,7 +98,7 @@ def _spectral_estimate(
         theta_l=theta_l,
         range=theta_r - theta_l,
         permutation_hat=rank_vector(triple.v),
-        method=method,
+        method=EstimatorMethod.SPECTRAL,
         triple=triple,
     )
 
@@ -117,19 +119,14 @@ def _direct_sorting(y: np.ndarray, spectral: ExtremeEstimates) -> ExtremeEstimat
 
 
 def spectral_extremes(y) -> ExtremeEstimates:
-    """Spectral estimates: theta_r = v_(p) Xv + (1/p) Y e, and the left/range analogues."""
+    """Spectral estimates: theta_r = v_(p) Xv + (1/p) Y e, and the left/range analogues.
+
+    This is also the paper's two-step form, a per-row OLS of Y on the
+    scores v read at v_(p) and v_(1).  With c = v - mean(v) the OLS slope is
+    X c / (c . c) and the intercept the row means less slope * mean(v).  v
+    is a unit vector orthogonal to e (X's rows sum to zero), so mean(v) = 0,
+    c . c = 1 and X c = Xv = lam u: the fit is this readout."""
     return _finite(lambda: _spectral_estimate(y))
-
-
-def regression_extremes(y) -> ExtremeEstimates:
-    """The paper's two-step form: per-row OLS of Y on the scores v, read at
-    v_(p) and v_(1), labelled REGRESSION.
-
-    With c = v - mean(v) the OLS slope is X c / (c . c) and the intercept
-    the row means less slope * mean(v).  v is a unit vector orthogonal to e
-    (X's rows sum to zero), so mean(v) = 0, c . c = 1 and X c = Xv = lam u:
-    the fit is the spectral readout, which is what runs here."""
-    return _finite(lambda: _spectral_estimate(y, EstimatorMethod.REGRESSION))
 
 
 def direct_sorting_extremes(y) -> ExtremeEstimates:

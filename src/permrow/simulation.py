@@ -294,23 +294,26 @@ def synthesize_observation(
     return y
 
 
-def _rms(d: np.ndarray) -> float:
-    """||d||_2 / sqrt(len(d)), on d divided by 2**e (exact) where max |d| is
-    far enough from 1 that the sum of squares would overflow or go
-    subnormal; see ``matrix._pow2_scaled``."""
-    scaled, e = _pow2_scaled(d, float(np.abs(d).max(initial=0.0)))
-    return float(np.ldexp(np.linalg.norm(scaled) / np.sqrt(d.size), e))
-
-
 def empirical_risk(estimate, truth) -> float:
-    """Normalized l2 distance ||estimate - truth||_2 / sqrt(n), n >= 1."""
+    """Normalized l2 distance ||estimate - truth||_2 / sqrt(n), n >= 1.
+
+    The norm is taken on the difference d divided by 2**k (exact) where
+    max |d| is far enough from 1 that the sum of squares would overflow or
+    go subnormal; see ``matrix._pow2_scaled``.  A risk that overflows all
+    the same raises NonFiniteEstimate, with no numpy warning."""
     e = np.asarray(estimate, dtype=float).ravel()
     t = np.asarray(truth, dtype=float).ravel()
     if e.size != t.size:
         raise LengthMismatch(f"length {e.size} vs {t.size}")
     if e.size == 0:
         raise ValueError("empirical_risk needs at least one entry")
-    return _rms(e - t)
+    with np.errstate(all="ignore"):
+        d = e - t
+        scaled, k = _pow2_scaled(d, float(np.abs(d).max(initial=0.0)))
+        risk = float(np.ldexp(np.linalg.norm(scaled) / np.sqrt(d.size), k))
+    if not np.isfinite(risk):
+        raise NonFiniteEstimate("a risk overflowed to a non-finite value")
+    return risk
 
 
 @dataclass(frozen=True)
@@ -445,9 +448,8 @@ def _replicate_risks(
     spec: ScenarioSpec, r: int, estimators: Sequence[str], buffers: _Buffers | None = None
 ) -> list[float]:
     """Replicate r's risks, in the pair order of ``run_monte_carlo``; the
-    spectral, regression and DS risks are read off one spectral estimate
-    (regression is that estimate under its own label, which risks do not
-    read).  With ``buffers``, Y is built in ``buffers[0]`` and centered into
+    spectral and DS risks are read off one spectral estimate.  With
+    ``buffers``, Y is built in ``buffers[0]`` and centered into
     ``buffers[1]`` once the noise drawn there has been added."""
     y, truths = _generate_replicate(spec, rng_stream(trial_seed(spec.seed, r)), buffers)
     spectral = None
@@ -464,8 +466,6 @@ def _replicate_risks(
         for got, want in zip((est.theta_r, est.theta_l, est.range), truths):
             if got is not None:  # irep estimates the range only
                 risks.append(empirical_risk(got, want))
-    if not np.isfinite(risks).all():
-        raise NonFiniteEstimate("a risk overflowed to a non-finite value")
     return risks
 
 

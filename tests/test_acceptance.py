@@ -28,7 +28,6 @@ from permrow import (
     leading_singular_triple,
     minimax_rate_extreme,
     rate_psi,
-    regression_extremes,
     rng_stream,
     run_monte_carlo,
     signal_indices,
@@ -38,6 +37,8 @@ from permrow import (
     trial_seed,
 )
 from permrow.cli import main
+
+from oracles import regression_two_step
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -64,17 +65,17 @@ def test_criterion_1_estimator_equivalence():
         y = _growth_observation(rng, 20, 100, 1.0)
         tol = 1e-8 * max(1.0, float(np.linalg.norm(y)))
         spec = spectral_extremes(y)
-        reg = regression_extremes(y)
+        reg_r, reg_l = regression_two_step(y)
         gap = max(
-            float(np.abs(reg.theta_r - spec.theta_r).max()),
-            float(np.abs(reg.theta_l - spec.theta_l).max()),
-            float(np.abs(reg.range - spec.range).max()),
+            float(np.abs(reg_r - spec.theta_r).max()),
+            float(np.abs(reg_l - spec.theta_l).max()),
+            float(np.abs((reg_r - reg_l) - spec.range).max()),
         )
         worst = max(worst, gap / tol)
     elapsed = time.perf_counter() - start
     _verdict(
         1,
-        "spectral and regression estimators agree on 100 random matrices",
+        "the spectral estimate is the two-step regression fit on 100 random matrices",
         worst <= 1.0 and elapsed < 10.0,
         f"worst gap ratio {worst:.3g}, {elapsed:.2f}s",
     )

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permrow import (
+    AmbiguousDirection,
     EstimatorMethod,
     ExtremeEstimates,
     GramOverflow,
@@ -20,7 +21,6 @@ from permrow import (
     generate_s2,
     irep_extremes,
     order_statistic_extremes,
-    regression_extremes,
     rng_stream,
     spectral_extremes,
     synthesize_observation,
@@ -91,58 +91,71 @@ class TestSpectralExtremes:
             assert np.median(spectral_extremes(y).range) > 0.0, r
 
 
+def assert_is_two_step_fit(y, tol):
+    """spectral_extremes(y) is the paper's two-step regression estimate:
+    each of thetaR, thetaL and range within ``tol`` of the oracle's."""
+    est = spectral_extremes(y)
+    reg_r, reg_l = regression_two_step(y)
+    for got, want in zip((est.theta_r, est.theta_l, est.range), (reg_r, reg_l, reg_r - reg_l)):
+        assert np.abs(got - want).max() <= tol
+
+
 class TestRegressionEquivalence:
+    """spectral_extremes is the paper's two-step regression: the fit on v in
+    observed order equals the sort-then-fit of the oracle."""
+
     def test_simple_example(self):
-        spec = spectral_extremes(Y0)
-        reg = regression_extremes(Y0)
-        np.testing.assert_allclose(reg.theta_r, spec.theta_r, atol=1e-10)
-        np.testing.assert_allclose(reg.theta_l, spec.theta_l, atol=1e-10)
-        np.testing.assert_allclose(reg.range, spec.range, atol=1e-10)
+        assert_is_two_step_fit(Y0, 1e-10)
 
     def test_random_matrices(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
             y = random_growth_observation(rng)
-            tol = 1e-8 * max(1.0, np.linalg.norm(y))
-            spec = spectral_extremes(y)
-            reg = regression_extremes(y)
-            assert np.abs(reg.theta_r - spec.theta_r).max() <= tol
-            assert np.abs(reg.theta_l - spec.theta_l).max() <= tol
-            assert np.abs(reg.range - spec.range).max() <= tol
+            assert_is_two_step_fit(y, 1e-8 * max(1.0, np.linalg.norm(y)))
 
     @settings(max_examples=60, deadline=None)
     @given(**SHAPES)
-    def test_is_the_spectral_readout_bit_for_bit(self, n, p, seed, noise, exponent):
-        """Only the label differs: the same estimates, order and triple."""
-
-        def parts(est):
-            t = est.triple
-            return (est.theta_r, est.theta_l, est.range, est.permutation_hat,
-                    t.lam, t.u, t.v, t.lam2, t.residual)
-
+    def test_matches_two_step_oracle_at_every_scale(self, n, p, seed, noise, exponent):
         y = gapped_matrix(n, p, seed, noise, exponent)
-        spec = spectral_extremes(y)
-        reg = regression_extremes(y)
-        assert (spec.method, reg.method) == (EstimatorMethod.SPECTRAL, EstimatorMethod.REGRESSION)
-        for got, want in zip(map(np.asarray, parts(reg)), map(np.asarray, parts(spec))):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_is_two_step_fit(y, 1e-12 * p * np.abs(y).max())
 
     def test_matches_two_step_oracle(self):
-        # the fit on v in observed order equals the sort-then-fit of the paper
         rng = np.random.default_rng(53)
         cases = [random_growth_observation(rng, n=n, p=p) for n, p in [(10, 60), (60, 10)] * 25]
         cases += [y[:, rng.permutation(y.shape[1])] for y in cases[:2]]
         for y in cases:
-            est = regression_extremes(y)
+            est = spectral_extremes(y)
             for got, want in zip((est.theta_r, est.theta_l), regression_two_step(y)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_rows_stacked(self):
-        y = np.vstack([np.array([-1.0, 0.0, 1.0]), np.zeros(3), np.zeros(3)])
-        spec = spectral_extremes(y)
-        reg = regression_extremes(y)
-        np.testing.assert_allclose(reg.theta_r, spec.theta_r, atol=1e-10)
-        np.testing.assert_allclose(reg.theta_l, spec.theta_l, atol=1e-10)
+        assert_is_two_step_fit(np.vstack([np.array([-1.0, 0.0, 1.0]), np.zeros(3), np.zeros(3)]),
+                               1e-10)
+
+
+class TestAmbiguousDirection:
+    @pytest.mark.parametrize("tall", [False, True], ids=["n<=p", "p<n"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), exponent=st.sampled_from([0, 500, -500]))
+    def test_a_tied_leading_pair_raises(self, tall, data, exponent):
+        # one zero-sum rank-one block placed twice, on disjoint rows and
+        # columns: lam1 = lam2, so the leading direction is not determined.
+        # Integer entries keep the row sums exactly zero.
+        k, m = sorted(data.draw(st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True)),
+                      reverse=tall)
+        a = np.array(data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)), float)
+        a *= data.draw(st.sampled_from([1.0, -1.0]))
+        c = data.draw(st.lists(st.integers(-9, 9), min_size=m - 1, max_size=m - 1))
+        c = np.array(c + [-sum(c)], float)
+        assume(c.any())
+        y = np.zeros((2 * k, 2 * m))
+        y[:k, :m] = y[k:, m:] = np.ldexp(np.outer(a, c), exponent)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = y[rng.permutation(2 * k)][:, rng.permutation(2 * m)]
+        assert (y.shape[0] > y.shape[1]) == tall
+        for estimator in (spectral_extremes, direct_sorting_extremes):
+            with pytest.raises(AmbiguousDirection, match="^ambiguous leading direction: lam1 = "):
+                estimator(y)
 
 
 class TestDirectSorting:
@@ -241,9 +254,7 @@ class TestScoreOrder:
         names = [f.name for f in dataclasses.fields(ExtremeEstimates)]
         assert names == ["theta_r", "theta_l", "range", "permutation_hat", "method", "triple"]
 
-    @pytest.mark.parametrize(
-        "estimator", [spectral_extremes, regression_extremes, direct_sorting_extremes]
-    )
+    @pytest.mark.parametrize("estimator", [spectral_extremes, direct_sorting_extremes])
     def test_read_off_the_triple_and_kept_by_replace(self, estimator):
         est = estimator(random_growth_observation(np.random.default_rng(59)))
         v = est.triple.v
@@ -271,13 +282,9 @@ class TestScoreOrder:
     "read, method",
     [
         (lambda y, spectral: estimators._spectral_estimate(y), EstimatorMethod.SPECTRAL),
-        (
-            lambda y, spectral: estimators._spectral_estimate(y, EstimatorMethod.REGRESSION),
-            EstimatorMethod.REGRESSION,
-        ),
         (estimators._direct_sorting, EstimatorMethod.DIRECT_SORTING),
     ],
-    ids=["spectral", "regression", "ds"],
+    ids=["spectral", "ds"],
 )
 def test_spectral_family_built_on_the_spectral_estimate(read, method):
     """Each of the family carries the spectral estimate's order (the order
@@ -305,8 +312,7 @@ def _assume_stable_readout(y):
 
 class TestSharedInvariants:
     @pytest.mark.parametrize(
-        "estimator",
-        [spectral_extremes, regression_extremes, direct_sorting_extremes, order_statistic_extremes],
+        "estimator", [spectral_extremes, direct_sorting_extremes, order_statistic_extremes]
     )
     def test_column_permutation_invariance(self, estimator):
         rng = np.random.default_rng(55)
@@ -320,8 +326,7 @@ class TestSharedInvariants:
             np.testing.assert_allclose(other.range, base.range, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "estimator",
-        [spectral_extremes, regression_extremes, direct_sorting_extremes, order_statistic_extremes],
+        "estimator", [spectral_extremes, direct_sorting_extremes, order_statistic_extremes]
     )
     @settings(max_examples=60, deadline=None)
     @given(**SHAPES, shift_seed=st.integers(0, 2**32 - 1))
@@ -337,8 +342,7 @@ class TestSharedInvariants:
         np.testing.assert_allclose(shifted.range, base.range, rtol=0, atol=atol)
 
     @pytest.mark.parametrize(
-        "estimator",
-        [spectral_extremes, regression_extremes, direct_sorting_extremes, order_statistic_extremes],
+        "estimator", [spectral_extremes, direct_sorting_extremes, order_statistic_extremes]
     )
     @settings(max_examples=60, deadline=None)
     @given(**SHAPES, scale=st.sampled_from([2.0**500, 2.0**-500, 2.5, 1e-3, 1e3]))
@@ -354,8 +358,7 @@ class TestSharedInvariants:
         np.testing.assert_allclose(scaled.range, scale * base.range, rtol=0, atol=atol)
 
     @pytest.mark.parametrize(
-        "estimator",
-        [spectral_extremes, regression_extremes, direct_sorting_extremes, order_statistic_extremes],
+        "estimator", [spectral_extremes, direct_sorting_extremes, order_statistic_extremes]
     )
     def test_range_identity(self, estimator):
         rng = np.random.default_rng(58)
@@ -401,8 +404,8 @@ class TestFinite:
         assert str(exc.value) == f"{name} overflowed to a non-finite value"
 
 
-PUBLIC_ESTIMATORS = [spectral_extremes, regression_extremes, direct_sorting_extremes,
-                     order_statistic_extremes, irep_extremes]
+PUBLIC_ESTIMATORS = [spectral_extremes, direct_sorting_extremes, order_statistic_extremes,
+                     irep_extremes]
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,8 +435,8 @@ RANGE_OVERFLOW = (NonFiniteEstimate, "range overflowed to a non-finite value")
 @pytest.mark.parametrize("state", ["warn", "raise"])
 @pytest.mark.parametrize(
     "estimator, raised",
-    zip(PUBLIC_ESTIMATORS, [GRAM_OVERFLOW] * 3 + [RANGE_OVERFLOW] * 2),
-    ids=["spectral", "regression", "ds", "os", "irep"],
+    zip(PUBLIC_ESTIMATORS, [GRAM_OVERFLOW] * 2 + [RANGE_OVERFLOW] * 2),
+    ids=["spectral", "ds", "os", "irep"],
 )
 def test_overflowing_range_raises_without_warning(estimator, raised, state):
     # an overflow ends in the package error, not in numpy's warning or

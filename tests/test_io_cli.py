@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import sys
 import tempfile
@@ -30,7 +31,6 @@ from permrow import (
     irep_extremes,
     load_coverage_csv,
     order_statistic_extremes,
-    regression_extremes,
     spectral_extremes,
     write_estimates_csv,
 )
@@ -783,8 +783,8 @@ class TestWriteEstimates:
         ids = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rid")
         quoted = ("plain", '"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\rid"')
         values = np.random.default_rng(5).normal(size=(5, 10)) + np.linspace(0, 3, 10)
-        for estimate in (spectral_extremes, regression_extremes, direct_sorting_extremes,
-                         order_statistic_extremes, irep_extremes):
+        for estimate in (spectral_extremes, direct_sorting_extremes, order_statistic_extremes,
+                         irep_extremes):
             est = estimate(values)
             write_estimates_csv(out, est, ids)
             # irep leaves thetaR and thetaL empty
@@ -826,7 +826,7 @@ class TestCliEstimate:
         assert float(values[1][3]) == pytest.approx(4.0, abs=1e-9)
 
     def test_every_method_runs(self, tmp_path):
-        for method in ("spectral", "regression", "ds", "os"):
+        for method in ("spectral", "ds", "os"):
             code, out = self.run_estimate(tmp_path, "--method", method)
             assert code == 0
         code, out = self.run_estimate(tmp_path, "--method", "irep")
@@ -896,6 +896,32 @@ class TestCliEstimate:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
 
+    def test_removed_regression_method_one_line_exit_2(self, tmp_path, capsys):
+        # regression was the spectral estimate under another name
+        with pytest.raises(SystemExit) as exc:
+            self.run_estimate(tmp_path, "--method", "regression")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"permrow: error: argument --method: invalid choice: 'regression' "
+            r"\(choose from '?spectral'?, '?ds'?, '?os'?, '?irep'?\)\n",
+            err,
+        ), err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_ambiguous_direction_exit_3_one_line(self, tmp_path, capsys):
+        # lam1 = lam2 = sqrt(2): no leading direction, so no estimate is written
+        inp = write(tmp_path / "in.csv", "sample,c1,c2,c3,c4\ns1,1,-1,0,0\ns2,0,0,1,-1\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--input", inp, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "permrow: numerical degeneracy: ambiguous leading direction: "
+            "lam1 = 1.41421, lam2 = 1.41421\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "rows, extra, column",
         [
@@ -937,7 +963,7 @@ def assert_cli_outcome(code, err):
     n=st.integers(1, 5),
     p=st.integers(2, 5),
     defect=st.sampled_from([None, None, "cell", "ragged"]),
-    method=st.sampled_from(["spectral", "regression", "ds", "os", "irep"]),
+    method=st.sampled_from(["spectral", "ds", "os", "irep"]),
     exp=st.booleans(),
     data=st.data(),
 )
@@ -1123,8 +1149,10 @@ class TestCliSimulate:
         [
             ("spectral,os,spectral", "repeated estimators: ['spectral']"),
             ("", "unknown estimators: ['']"),
+            # regression was the spectral estimate under another name
+            ("spectral,regression", "unknown estimators: ['regression']"),
         ],
-        ids=["repeated", "empty"],
+        ids=["repeated", "empty", "removed-regression"],
     )
     def test_bad_estimators_one_line_exit_2(self, tmp_path, capsys, estimators, message):
         cfg = write(tmp_path / "cfg.json", json.dumps(self.CONFIG))
@@ -1232,7 +1260,7 @@ class TestCliSimulate:
         assert code == 2
 
 
-ESTIMATOR_NAMES = st.sampled_from(["spectral", "regression", "ds", "os", "irep"])
+ESTIMATOR_NAMES = st.sampled_from(["spectral", "ds", "os", "irep"])
 ESTIMATOR_LISTS = st.one_of(
     st.lists(ESTIMATOR_NAMES, min_size=1, unique=True),
     st.lists(st.one_of(ESTIMATOR_NAMES, st.sampled_from(["", " ", "bogus", " os", "ds "])),
@@ -1314,7 +1342,7 @@ def test_simulate_fuzz_configs_exit_code_and_one_line(config, threads):
         out = Path(tmp) / "o.csv"
         argv = ["simulate", "--config", cfg, "--reps", "3", "--seed", "1",
                 "--output", str(out), "--threads", str(threads),
-                "--estimators", "spectral,regression,ds,os,irep"]
+                "--estimators", "spectral,ds,os,irep"]
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
@@ -1447,7 +1475,8 @@ ARGV_FLAGS = {
     "estimate": {
         "--input": flag_value(st.just("{coverage}"), ARGV_PATHS),
         "--output": flag_value(st.just("{out}"), ARGV_OUTPUTS),
-        "--method": st.sampled_from(["spectral", "regression", "ds", "os", "irep", "bogus", ""]),
+        # regression, a removed name, is invalid now, as bogus and "" are
+        "--method": st.sampled_from(["spectral", "ds", "os", "irep", "regression", "bogus", ""]),
         "--exp": None,
     },
     "simulate": {

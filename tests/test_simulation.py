@@ -18,6 +18,7 @@ from permrow import (
     InvalidScenario,
     LengthMismatch,
     LinearGrowthSignal,
+    NonFiniteEstimate,
     NonFiniteInput,
     PermrowError,
     PermutationKind,
@@ -30,18 +31,17 @@ from permrow import (
     generate_s2,
     irep_extremes,
     order_statistic_extremes,
-    regression_extremes,
     rng_stream,
     run_monte_carlo,
     spectral_extremes,
-    splitmix64,
     synthesize_observation,
     trial_seed,
 )
 from permrow import estimators, matrix, simulation
 from permrow.matrix import _one_blas_thread, _openblas, center_rows
+from permrow.simulation import splitmix64
 
-from oracles import composed_replicate, signal_matrix
+from oracles import composed_replicate, regression_two_step, signal_matrix
 from strategies import scenario_specs
 
 BLAS = _openblas() and _openblas()[1:]  # (get, set) of the thread count, or None
@@ -273,13 +273,12 @@ def test_perfbench_tracer_spans_every_replicate(monkeypatch):
     assert spans["simulation.noise"] == 6
 
 
-ALL_ESTIMATORS = ("spectral", "regression", "ds", "os", "irep")
+ALL_ESTIMATORS = ("spectral", "ds", "os", "irep")
 ALL_PAIRS = [
     (e, t) for e in ALL_ESTIMATORS for t in (("range",) if e == "irep" else simulation.TARGETS)
 ]
 PUBLIC_ESTIMATORS = {
     "spectral": spectral_extremes,
-    "regression": regression_extremes,
     "ds": direct_sorting_extremes,
     "os": order_statistic_extremes,
     "irep": irep_extremes,
@@ -385,6 +384,16 @@ class TestEmpiricalRisk:
                 scale * empirical_risk(e, t), rel=1e-15
             )
 
+    @pytest.mark.parametrize("state", ["warn", "raise"])
+    def test_overflow_raises_without_warning(self, state):
+        # the difference 3.4e308 overflows; the risk is the package error,
+        # not inf, numpy's warning or FloatingPointError
+        with np.errstate(all=state), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEstimate) as exc:
+                empirical_risk([1.7e308], [-1.7e308])
+        assert str(exc.value) == "a risk overflowed to a non-finite value"
+
     def test_bytes_unchanged_near_one(self):
         rng = np.random.default_rng(14)
         e, t = rng.normal(size=50), rng.normal(size=50)
@@ -430,13 +439,22 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n, p", [(8, 40), (30, 12)], ids=["n<p", "n>p"])
     @pytest.mark.parametrize("kind", [ScenarioKind.S1, ScenarioKind.S2])
-    def test_regression_risks_are_the_spectral_risks(self, kind, n, p):
-        report = run_monte_carlo(
-            self.spec(kind=kind, n=n, p=p, sigma=1.0), estimators=("spectral", "regression"), reps=6
-        )
+    def test_spectral_risks_are_the_two_step_risks(self, kind, n, p):
+        # the spectral rows of a report score the paper's two-step
+        # regression estimate, rebuilt replicate by replicate by the oracles
+        spec = self.spec(kind=kind, n=n, p=p, sigma=1.0)
+        report = run_monte_carlo(spec, estimators=("spectral",), reps=6)
+        assert report.failures == ()
+        want = {target: [] for target in simulation.TARGETS}
+        for r in range(6):
+            y, truth = composed_replicate(spec, rng_stream(trial_seed(spec.seed, r)))
+            reg_r, reg_l = regression_two_step(y)
+            for target, got, true in zip(simulation.TARGETS, (reg_r, reg_l, reg_r - reg_l), truth):
+                want[target].append(empirical_risk(got, true))
         for target in simulation.TARGETS:
-            want = report.summary("spectral", target).risks
-            assert report.summary("regression", target).risks.tobytes() == want.tobytes()
+            np.testing.assert_allclose(
+                report.summary("spectral", target).risks, want[target], rtol=1e-9, atol=0
+            )
 
     def test_thread_count_irrelevant(self):
         spec = self.spec(sigma=0.5)
@@ -514,6 +532,18 @@ class TestMonteCarlo:
             report = run_monte_carlo(spec, estimators=estimators, reps=2)
             assert report.failures == tuple((r, "NonFiniteEstimate", message) for r in range(2))
             assert np.isnan(report.summary(estimators[0], "range").risks).all()
+
+    def test_ambiguous_direction_fails_every_replicate(self, monkeypatch):
+        # no scenario gives a tied leading pair (a centred linear signal is
+        # rank one), so every replicate's Y is replaced by one with
+        # lam1 = lam2 = sqrt(2)
+        probe = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        monkeypatch.setattr(simulation, "synthesize_observation", lambda *args: probe.copy())
+        spec = self.spec(n=2, p=4, sigma=1.0)
+        report = run_monte_carlo(spec, estimators=("spectral", "ds", "os"), reps=3)
+        message = "ambiguous leading direction: lam1 = 1.41421, lam2 = 1.41421"
+        assert report.failures == tuple((r, "AmbiguousDirection", message) for r in range(3))
+        assert all(np.isnan(s.risks).all() for s in report.summaries)
 
     def test_huge_risks_summarized_without_overflow(self):
         # risks near 1e200: the sum of their squares (std) passes the float range

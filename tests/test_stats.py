@@ -8,9 +8,9 @@ from permrow import (
     DegenerateVariance,
     TTestVariant,
     f_test_oneway,
-    regularized_incomplete_beta,
     t_test_two_sample,
 )
+from permrow.stats import regularized_incomplete_beta
 
 
 class TestIncompleteBeta:
