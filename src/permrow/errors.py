@@ -50,7 +50,7 @@ class InsufficientColumns(InputError):
 
 
 class DuplicateSampleId(InputError):
-    """A coverage table repeats a sample identifier."""
+    """A coverage or grouped table repeats a sample identifier."""
 
 
 class DimensionMismatch(InputError):

@@ -4,6 +4,12 @@ Dialect is fixed: comma-separated, '.' decimal point, UTF-8, records ending
 in LF, CRLF or CR.  Numeric payloads are written with 12 significant digits,
 and sample ids are quoted where CSV requires it.
 
+Both tables, the coverage matrix and the ``sampleId,group,value`` table, are
+read record by record through one reader, ``_records``.  It raises the rules
+the two share: an empty file, a record not as wide as the header, and a
+sample id (first field) repeated by a later record.  Each loader keeps only
+its own header width, cell parse and least number of rows or groups.
+
 A coverage table is read in two stages.  A plain numeric file is mapped
 read-only with ``mmap``, each row's id and value part are found, and
 ``np.loadtxt`` parses the parts in two blocks of rows: this process decodes
@@ -12,18 +18,22 @@ a shared anonymous mmap that then holds the table.  The child touches only its
 rows and their block of the mmap, and leaves with ``os._exit``; the parent
 always waits for it.  Where there is no ``os.fork``, where the fork fails, or
 where other Python threads run, one block is parsed in this process.  Every
-other file, every file with an error in either block, and a file that cannot
-be mapped (empty, or a pipe) goes to the exact loader; R's ``write.csv``
-output, which quotes labels and ids, is one.  It streams the records of the
-same open handle and holds one record at a time besides the rows parsed, so
-the error it raises is the first in file order, and names the first bad cell
-of its row; the handle decodes 8192 bytes at a time, so a byte that is not
-UTF-8 is met when its block is.  All give the same ids, value bytes and error
-messages: loadtxt parses each number on its own with ``PyOS_string_to_double``,
-as ``float()`` does, and the first stage declines the inputs on which the two
-differ.  Only a quoted record goes through ``csv.reader``, so only a quoted
-field is held to its limit of 131072 characters.  The file must not be
-truncated while it is read: touching a mapped page past its end raises SIGBUS.
+other file goes to the exact loader, and so does every file on which the
+first stage raises ValueError or OSError: one that cannot be mapped (empty,
+or a pipe), bytes that are not UTF-8, an error in either block, a child that
+something else reaped (as under an ignored SIGCHLD), or a result mapping the
+OS refuses.  R's ``write.csv`` output, which quotes labels and ids, is one.
+The exact loader streams the records of the same open handle and holds one
+record at a time besides the rows parsed, so the error it raises is the first
+in file order, and names the first bad cell of its row; the handle decodes
+8192 bytes at a time, so a byte that is not UTF-8 is met when its block is.
+All give the same ids, value bytes and error messages, because the exact
+loader decides every message: loadtxt parses each number on its own with
+``PyOS_string_to_double``, as ``float()`` does, and the first stage declines
+the inputs on which the two differ.  Only a quoted record goes through
+``csv.reader``, so only a quoted field is held to its limit of 131072
+characters.  The file must not be truncated while it is read: touching a
+mapped page past its end raises SIGBUS.
 """
 
 from __future__ import annotations
@@ -81,24 +91,39 @@ def _parse_row(cells: list[str], row: int) -> np.ndarray:
 
 
 def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(row, fields) of each CSV record in ``lines``, rows numbered from 1.
+    """(row, fields) of the header and then of each data record of the CSV
+    table in ``lines``, rows numbered by record from 1.
 
     ``lines`` come from a file opened with ``newline=""``.  A line without a
     quote is split at its commas, as ``csv.reader`` would split it; a quoted
     record goes through ``csv.reader``, which may continue it over the lines
-    that follow.
+    that follow.  Raises DimensionMismatch for an empty file or a data record
+    not as wide as the header, and DuplicateSampleId for a data record whose
+    first field, its sample id, an earlier one has.  A data record is read
+    only once the caller has taken the header, which every caller requires
+    to have 3 fields or more, so a record of the header's width has an id.
     """
-    lines = iter(lines)
+    lines, width, ids = iter(lines), None, set()
     for row, line in enumerate(lines, start=1):
         if '"' not in line:
             line = line.rstrip("\r\n")
-            yield row, line.split(",") if line else []
-            continue
-        try:
-            record = next(csv.reader(itertools.chain([line], lines)))
-        except csv.Error as exc:
-            raise InputError(f"row {row}: {exc}") from None
+            record = line.split(",") if line else []
+        else:
+            try:
+                record = next(csv.reader(itertools.chain([line], lines)))
+            except csv.Error as exc:
+                raise InputError(f"row {row}: {exc}") from None
+        if width is None:
+            width = len(record)
+        elif len(record) != width:
+            raise DimensionMismatch(f"row {row} has {len(record)} fields, expected {width}")
+        elif record[0] in ids:
+            raise DuplicateSampleId(f"duplicate sample id {shown(record[0])} at row {row}")
+        else:
+            ids.add(record[0])
         yield row, record
+    if width is None:
+        raise DimensionMismatch("file is empty; a header row is required")
 
 
 # float() rejects the ASCII separators U+001C..U+001F next to a number, and
@@ -164,58 +189,46 @@ def _parse_split(mapping: mmap.mmap, spans: list[tuple[int, int]], p: int) -> np
 
 
 def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable | None:
-    """The table that ``np.loadtxt`` parses from a mapped file, or None.
+    """The table that ``np.loadtxt`` parses from a mapped file, or None
+    where the file is not plain.
 
-    None, never an error, unless the file is UTF-8 with no quote, no
-    U+001C..U+001F and no CR but before LF, has at least 2 positions and 2
-    rows, a comma and a non-blank value part on every row, distinct sample
-    ids, and p finite values on every row.  loadtxt rejects the underscores
-    and non-ASCII digits that ``float()`` accepts, so those give None too.
+    It is plain when it has no quote, no U+001C..U+001F and no CR but before
+    LF, at least 2 positions and 2 rows, a comma on every row and distinct
+    sample ids.  A plain file raises ValueError where it is not UTF-8, where
+    a value part is blank or not p finite values, or where the child fails,
+    and OSError where the wait or the result mapping does.  loadtxt rejects
+    the underscores and non-ASCII digits that ``float()`` accepts, so those
+    raise too; the caller reads every such file with the exact loader.
     """
     if any(mapping.find(mark) >= 0 for mark in _NOT_PLAIN):
         return None
     if mapping.find(b"\r") >= 0 and re.search(rb"\r(?!\n)", mapping):
         return None
     size, start = len(mapping), mapping.find(b"\n") + 1
+    p = mapping[:start].decode("utf-8").count(",")
     ids, spans = [], []
-    try:
-        p = mapping[:start].decode("utf-8").count(",")
-        while 0 < start < size:
-            end = mapping.find(b"\n", start)
-            end = size if end < 0 else end
-            comma = mapping.find(b",", start, end)
-            if comma < 0:
-                return None
-            ids.append(mapping[start:comma].decode("utf-8"))
-            spans.append((comma + 1, end))
-            start = end + 1
-        if p < 2 or len(ids) < 2 or len(set(ids)) < len(ids):
+    while 0 < start < size:
+        end = mapping.find(b"\n", start)
+        end = size if end < 0 else end
+        comma = mapping.find(b",", start, end)
+        if comma < 0:
             return None
-        values = _parse_split(mapping, spans, p)
-    except ValueError:  # UnicodeDecodeError among them
+        ids.append(mapping[start:comma].decode("utf-8"))
+        spans.append((comma + 1, end))
+        start = end + 1
+    if p < 2 or len(ids) < 2 or len(set(ids)) < len(ids):
         return None
-    return CoverageTable(sample_ids=tuple(ids), values=values)
+    return CoverageTable(sample_ids=tuple(ids), values=_parse_split(mapping, spans, p))
 
 
 def _load_exact(lines: Iterable[str]) -> CoverageTable:
     """The table in ``lines``, read one record at a time: the first bad
     record in file order raises."""
     records = _records(lines)
-    try:
-        _, header = next(records)
-    except StopIteration:
-        raise DimensionMismatch("file is empty; a header row is required") from None
-    p = len(header) - 1
-    if p < 2:
+    _, header = next(records)
+    if len(header) < 3:
         raise DimensionMismatch("need at least 2 position columns")
-    rows: dict[str, np.ndarray] = {}  # sample id -> values, in file order
-    for i, record in records:
-        if len(record) != p + 1:
-            raise DimensionMismatch(f"row {i} has {len(record)} fields, expected {p + 1}")
-        sample_id = record[0]
-        if sample_id in rows:
-            raise DuplicateSampleId(f"duplicate sample id {shown(sample_id)} at row {i}")
-        rows[sample_id] = _parse_row(record[1:], i)
+    rows = {record[0]: _parse_row(record[1:], i) for i, record in records}
     if len(rows) < 2:
         raise DimensionMismatch("need at least 2 sample rows")
     return CoverageTable(sample_ids=tuple(rows), values=np.stack(list(rows.values())))
@@ -227,12 +240,10 @@ def load_coverage_csv(path) -> CoverageTable:
     or InputError for a record that cannot be tokenized."""
     with open(path, "rb") as raw:
         try:
-            mapping = mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # an empty file, a pipe, a terminal
-            table = None
-        else:
-            with mapping:
+            with mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
                 table = _load_plain_numeric(mapping)
+        except (ValueError, OSError):  # not mappable, or the first stage failed
+            table = None
         if table is not None:
             return table
         # the same handle, still unread: opening a pipe again may wait forever
@@ -272,19 +283,16 @@ def write_estimates_csv(
 
 
 def load_grouped_csv(path) -> list[tuple[str, np.ndarray]]:
-    """Read (sampleId, group, value) rows; returns groups in first-seen order."""
+    """Read (sampleId, group, value) rows; returns groups in first-seen order.
+    Raises ParseError / DuplicateSampleId / DimensionMismatch, or InputError
+    for a record that cannot be tokenized."""
     with open(path, newline="", encoding="utf-8") as fh:
         records = _records(fh)
-        try:
-            _, header = next(records)
-        except StopIteration:
-            raise DimensionMismatch("file is empty; a header row is required") from None
+        _, header = next(records)
         if len(header) != 3:
             raise DimensionMismatch("expected exactly 3 columns: sampleId,group,value")
         groups: dict[str, list[float]] = {}
         for i, record in records:
-            if len(record) != 3:
-                raise DimensionMismatch(f"row {i} has {len(record)} fields, expected 3")
             groups.setdefault(record[1], []).append(_parse_cell(record[2], i, 3))
     if len(groups) < 2:
         raise DimensionMismatch("need at least 2 groups")

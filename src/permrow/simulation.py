@@ -281,16 +281,19 @@ def synthesize_observation(
     ``pi`` maps original to observed positions (0-based; ``None`` is the
     identity).  Y is built in ``buffers[0]`` and the noise drawn into
     ``buffers[1]`` when they are given, else in new arrays; sigma == 0 draws none.
+    An entry that overflows is left inf or NaN, with no numpy warning: the
+    estimators reject a non-finite Y.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     eta = signal.eta if pi is None else signal.eta[np.argsort(pi)]
     y_out, noise_out = (None, None) if buffers is None else buffers
-    y = _growth_signal(signal.a, eta, signal.b, signal.log, out=y_out)
-    if sigma > 0:
-        z = rng.standard_normal(y.shape, out=noise_out)
-        z *= sigma
-        y += z
+    with np.errstate(all="ignore"):
+        y = _growth_signal(signal.a, eta, signal.b, signal.log, out=y_out)
+        if sigma > 0:
+            z = rng.standard_normal(y.shape, out=noise_out)
+            z *= sigma
+            y += z
     return y
 
 

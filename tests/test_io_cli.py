@@ -537,27 +537,64 @@ class TestSplitParse:
         assert load_outcome(load_coverage_csv, path) == want
         assert len(forks) == 1 and calls == [6]
 
+    def test_child_reaped_elsewhere_goes_to_the_exact_loader(self, tmp_path, monkeypatch, forks):
+        """Where SIGCHLD is ignored, the system reaps the child itself and
+        waitpid raises ChildProcessError; the exact loader reads the file."""
+        path = write(tmp_path / "c.csv", split_text(5, 4))
+        want = self.one_block(path, monkeypatch)
+        waitpid = os.waitpid
 
-LONG_QUOTED = '"' + "1" * 200000 + '"'
+        def reaped_elsewhere(pid, options):
+            waitpid(pid, options)
+            raise ChildProcessError("No child processes")
+
+        monkeypatch.setattr(permrow_io.os, "waitpid", reaped_elsewhere)
+        calls = spy_exact(monkeypatch)
+        assert load_outcome(load_coverage_csv, path) == want
+        assert len(forks) == 1 and calls == [6]
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "file is empty; a header row is required"),
+        ("sampleId,group,value\na,1,1\nb,2\n", "row 3 has 2 fields, expected 3"),
+        ("sampleId,group,value\na,1,1\nb,2,2,2\n", "row 3 has 4 fields, expected 3"),
+        ('sampleId,group,value\n"a\nb",1,1\nc,2,2\nd,2,2,2\n', "row 4 has 4 fields, expected 3"),
+        ("sampleId,group,value\na,1,1\nb,2,2\na,2,3\n", "duplicate sample id 'a' at row 4"),
+        ('sampleId,group,value\na,1,1\nb,2,"' + "1" * 200000 + '"\n',
+         "row 3: field larger than field limit (131072)"),
+    ],
+    ids=["empty", "short-row", "long-row", "multi-line-id", "repeated-id", "long-quoted-field"],
+)
+def test_malformed_table_one_line_exit_2(tmp_path, capsys, command, text, message):
+    """Both tables are read by one record reader, so a malformed table gives
+    estimate and compare the same line; rows are counted by record, and a
+    quoted field over csv's length limit names its row.  The groups are
+    numbers, which estimate reads as a position column."""
+    argv = [command, "--input", write(tmp_path / "in.csv", text)]
+    if command == "estimate":
+        argv += ["--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"permrow: error: {message}\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(
-    "argv, text",
-    [
-        (["estimate"], f"sample,c1,c2\ns1,1,2\ns2,{LONG_QUOTED},4\n"),
-        (["compare"], f"sampleId,group,value\na,A,1\nb,B,{LONG_QUOTED}\n"),
-    ],
-    ids=["estimate", "compare"],
+    "command, message",
+    [("estimate", "need at least 2 position columns"),
+     ("compare", "expected exactly 3 columns: sampleId,group,value")],
 )
-def test_csv_error_one_line_exit_2(tmp_path, capsys, argv, text):
-    """A quoted field over csv's length limit names its row."""
-    argv = [*argv, "--input", write(tmp_path / "in.csv", text)]
-    if argv[0] == "estimate":
+def test_header_rule_one_line_exit_2(tmp_path, capsys, command, message):
+    """Each loader keeps its own rule on the header's width."""
+    argv = [command, "--input", write(tmp_path / "in.csv", "sampleId,group\na,1\nb,2\n")]
+    if command == "estimate":
         argv += ["--output", str(tmp_path / "o.csv")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "permrow: error: row 3: field larger than field limit (131072)\n"
-    )
+    assert capsys.readouterr().err == f"permrow: error: {message}\n"
 
 
 def r_style_csv(values):
@@ -1615,22 +1652,6 @@ class TestCliCompare:
         got = doc if argv[1] == "f" else doc["comparisons"][0]
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", "file is empty; a header row is required"),
-            ("sampleId,group\na,A\nb,B\n", "expected exactly 3 columns: sampleId,group,value"),
-            ("sampleId,group,value\na,A,1\nb,B\n", "row 3 has 2 fields, expected 3"),
-        ],
-        ids=["empty", "two-columns", "short-row"],
-    )
-    def test_malformed_table_one_line_exit_2(self, tmp_path, capsys, text, message):
-        inp = write(tmp_path / "g.csv", text)
-        assert main(["compare", "--input", inp]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"permrow: error: {message}\n"
 
     def test_pooled_t_on_constant_groups_exit_3_one_line(self, tmp_path, capsys):
         inp = write(tmp_path / "g.csv", "sampleId,group,value\na1,A,1\na2,A,1\na3,A,1\n"

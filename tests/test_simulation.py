@@ -156,6 +156,22 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             synthesize_observation(signal, -1.0, None, rng_stream(0))
 
+    @pytest.mark.parametrize(
+        "a, eta, sigma",
+        [((1e308, 1e308), (-1.0, 0.0, 10.0), 0.0), ((1.0, 1.0), (-1.0, 0.0, 1.0), 1.5e308)],
+        ids=["signal", "noise"],
+    )
+    def test_overflow_is_inf_without_warning(self, a, eta, sigma):
+        """An entry past the float limit is inf, not a numpy warning; the
+        estimators reject that Y."""
+        signal = LinearGrowthSignal(a=np.array(a), eta=np.array(eta), b=np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = synthesize_observation(signal, sigma, None, rng_stream(0))
+        assert np.isinf(y).any()
+        with pytest.raises(NonFiniteInput):
+            spectral_extremes(y)
+
     def test_permuted_output_is_c_ordered(self):
         """The Gram product rounds by memory layout, so a Fortran-ordered Y
         would give other last digits than the same values in C order."""
