@@ -16,13 +16,15 @@ read-only with ``mmap``, each row's id and value part are found, and
 and parses the first half, and a child made with ``os.fork`` the second, into
 a shared anonymous mmap that then holds the table.  The child touches only its
 rows and their block of the mmap, and leaves with ``os._exit``; the parent
-always waits for it.  Where there is no ``os.fork``, where the fork fails, or
-where other Python threads run, one block is parsed in this process.  Every
-other file goes to the exact loader, and so does every file on which the
-first stage raises ValueError or OSError: one that cannot be mapped (empty,
-or a pipe), bytes that are not UTF-8, an error in either block, a child that
-something else reaped (as under an ignored SIGCHLD), or a result mapping the
-OS refuses.  R's ``write.csv`` output, which quotes labels and ids, is one.
+always waits for it.  Where there is no ``os.fork``, where other Python
+threads run, or where SIGCHLD is ignored (the system would reap the child
+before the wait), this process parses one block, as it does where the fork
+fails.  The first stage declines only by raising ValueError or
+OSError, and every file on which it raises goes to the exact loader: one
+that cannot be mapped (empty, or a pipe), one that is not plain, bytes that
+are not UTF-8, an error in either block, a child that a handler reaped, or a
+result mapping the OS refuses.  R's ``write.csv`` output, which quotes labels
+and ids, is one.
 The exact loader streams the records of the same open handle and holds one
 record at a time besides the rows parsed, so the error it raises is the first
 in file order, and names the first bad cell of its row; the handle decodes
@@ -154,12 +156,17 @@ def _parse_split(mapping: mmap.mmap, spans: list[tuple[int, int]], p: int) -> np
 
     The child parses rows [h, n) into a shared anonymous mmap, which then
     holds the table, and leaves with ``os._exit``.  ValueError when either
-    half fails or the child does not exit 0.  One block, in this process,
-    where there is no ``os.fork``, where it fails, or where other Python
-    threads run: a lock one of them holds would stay held in the child.
+    half fails or the child does not exit 0, and ChildProcessError when a
+    SIGCHLD handler reaped it first.  One block, in this process, where there
+    is no ``os.fork``, where other Python threads run (a lock one of them
+    holds would stay held in the child), where SIGCHLD is ignored (the system
+    reaps the child, so it could not be waited for), or where the fork fails.
     """
+    import signal  # here, not at module level: only a fork needs it
+
     fork = getattr(os, "fork", None)
-    if fork is None or threading.active_count() > 1:
+    if fork is None or threading.active_count() > 1 \
+            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
         return _parse_rows(mapping, spans, p)
     n, h = len(spans), len(spans) // 2
     values = np.frombuffer(mmap.mmap(-1, n * p * 8), dtype=float).reshape(n, p)
@@ -188,9 +195,9 @@ def _parse_split(mapping: mmap.mmap, spans: list[tuple[int, int]], p: int) -> np
     return values
 
 
-def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable | None:
-    """The table that ``np.loadtxt`` parses from a mapped file, or None
-    where the file is not plain.
+def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable:
+    """The table that ``np.loadtxt`` parses from a mapped file; ValueError
+    where the file is not plain, or where the plain file does not parse.
 
     It is plain when it has no quote, no U+001C..U+001F and no CR but before
     LF, at least 2 positions and 2 rows, a comma on every row and distinct
@@ -201,9 +208,9 @@ def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable | None:
     raise too; the caller reads every such file with the exact loader.
     """
     if any(mapping.find(mark) >= 0 for mark in _NOT_PLAIN):
-        return None
+        raise ValueError("a quote or an ASCII separator")
     if mapping.find(b"\r") >= 0 and re.search(rb"\r(?!\n)", mapping):
-        return None
+        raise ValueError("a CR not before LF")
     size, start = len(mapping), mapping.find(b"\n") + 1
     p = mapping[:start].decode("utf-8").count(",")
     ids, spans = [], []
@@ -212,12 +219,12 @@ def _load_plain_numeric(mapping: mmap.mmap) -> CoverageTable | None:
         end = size if end < 0 else end
         comma = mapping.find(b",", start, end)
         if comma < 0:
-            return None
+            raise ValueError("a row with no comma")
         ids.append(mapping[start:comma].decode("utf-8"))
         spans.append((comma + 1, end))
         start = end + 1
     if p < 2 or len(ids) < 2 or len(set(ids)) < len(ids):
-        return None
+        raise ValueError("fewer than 2 positions or rows, or a repeated id")
     return CoverageTable(sample_ids=tuple(ids), values=_parse_split(mapping, spans, p))
 
 
@@ -241,11 +248,9 @@ def load_coverage_csv(path) -> CoverageTable:
     with open(path, "rb") as raw:
         try:
             with mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
-                table = _load_plain_numeric(mapping)
-        except (ValueError, OSError):  # not mappable, or the first stage failed
-            table = None
-        if table is not None:
-            return table
+                return _load_plain_numeric(mapping)
+        except (ValueError, OSError):  # not mappable, not plain, or failed
+            pass
         # the same handle, still unread: opening a pipe again may wait forever
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
             return _load_exact(fh)

@@ -104,9 +104,9 @@ def f_sf(f: float, df1: int, df2: int) -> float:
 
 
 def t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value of a t statistic with ``df`` degrees of freedom."""
-    if t == 0.0:
-        return 1.0
+    """Two-sided p-value of a t statistic with ``df`` degrees of freedom.
+    At t = 0 the argument df / (df + t^2) is exactly 1, where the incomplete
+    beta is 1."""
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 

@@ -141,9 +141,8 @@ def feasible_condition11(idx: SignalIndices, n: int, p: int) -> bool:
     beta = idx.beta_r
     if not 0.0 < beta < 1.0:
         raise ValueError("feasibility check requires beta_r strictly in (0, 1)")
-    _check_n_p(n, p)
+    psi = rate_psi(n, p)  # checks n and p
     logp = math.log(p)
-    psi = rate_psi(n, p)
     first = min(
         1.0 / beta**2,
         1.0 / psi**2 + (1.0 / psi) * math.sqrt(p / (n * logp)),

@@ -14,6 +14,7 @@ from scipy import stats as scipy_stats
 import conftest
 
 from permrow import (
+    LinearGrowthSignal,
     PermutationKind,
     ScenarioKind,
     ScenarioSpec,
@@ -22,11 +23,13 @@ from permrow import (
     TTestVariant,
     center_rows,
     classify_snr,
+    empirical_risk,
     f_test_oneway,
     generate_s1,
     generate_s2,
     leading_singular_triple,
     minimax_rate_extreme,
+    order_statistic_extremes,
     rate_psi,
     rng_stream,
     run_monte_carlo,
@@ -373,4 +376,63 @@ def test_criterion_9_simulation_determinism(tmp_path):
         9,
         "simulate CLI output is byte-identical across thread counts",
         payloads[0] == payloads[1],
+    )
+
+
+def _linear_ramp(n, p, alpha, rng):
+    """eta = linspace(0, 1, p), a_i ~ U(0, alpha), then b_i ~ U(0, 6)."""
+    a = rng.uniform(0.0, alpha, n)
+    b = rng.uniform(0.0, 6.0, n)
+    return LinearGrowthSignal(a=a, eta=np.linspace(0.0, 1.0, p), b=b)
+
+
+def test_criterion_10_range_risk_against_the_minimax_rate():
+    """The spectral range risk stays within a constant of the minimax rate.
+
+    n = 50, p = 1000, sigma = 1, permuted columns, 20 seeds per point and
+    alpha in {0.3, 1, 3, 10, 100}, on S1 and on the linear ramp.  Each seed's
+    rate is ``minimax_rate_extreme(signal_indices(theta, 1), 50, 1000,
+    "range")`` with constants 1, and each point takes the median over seeds
+    of risk / rate; the test runs master seed 5.  Over master seeds 1, 2, 3,
+    4, 5, 7, 11, 13 and 42 the spectral medians read 0.32-2.05, the largest
+    on the ramp at alpha = 0.3, so the bound is 2.5.  The order-statistic
+    medians peaked at 8.5-8.8 on S1 (alpha = 0.3) and 12.6-12.7 on the ramp
+    (alpha = 1), so the multiple is 5.
+
+    The rate's weak-regime first term is the risk of the constant-0 range:
+    for theta = a eta^T + b with sum(a) > 0, (beta_R + beta_L) t / sqrt(n)
+    = ||a (eta_p - eta_1)|| / sqrt(n).  It held to 1e-15 at every point.
+    """
+    n, p, sigma, seeds, alphas = 50, 1000, 1.0, 20, (0.3, 1.0, 3.0, 10.0, 100.0)
+    spectral_bound, os_multiple = 2.5, 5.0
+    ok, details = True, []
+    for name, generate in (("S1", generate_s1), ("ramp", _linear_ramp)):
+        os_peak = 0.0
+        for alpha in alphas:
+            spectral, order_stat, identity_gap = [], [], 0.0
+            for r in range(seeds):
+                rng = rng_stream(trial_seed(5, r))
+                signal = generate(n, p, alpha, rng)
+                y = synthesize_observation(signal, sigma, rng.permutation(p), rng)
+                idx = signal_indices(synthesize_observation(signal, 0.0, None, rng), sigma)
+                rate = minimax_rate_extreme(idx, n, p, "range")
+                truth = signal.a * (signal.eta[-1] - signal.eta[0])
+                spectral.append(empirical_risk(spectral_extremes(y).range, truth) / rate)
+                order_stat.append(empirical_risk(order_statistic_extremes(y).range, truth) / rate)
+                zero_risk = empirical_risk(np.zeros(n), truth)
+                first = (idx.beta_r + idx.beta_l) * idx.t / math.sqrt(n)
+                identity_gap = max(identity_gap, abs(first - zero_risk) / zero_risk)
+            s_med, os_med = float(np.median(spectral)), float(np.median(order_stat))
+            os_peak = max(os_peak, os_med)
+            ok = ok and s_med < spectral_bound and identity_gap <= 1e-12
+            details.append(f"{name} alpha={alpha:g}: spectral/rate {s_med:.3f}, "
+                           f"os/rate {os_med:.3f}, identity gap {identity_gap:.1e}")
+        ok = ok and os_peak > os_multiple
+    _verdict(
+        10,
+        f"median spectral range risk stays below {spectral_bound:g} x the minimax rate "
+        f"while the order statistic exceeds {os_multiple:g} x, and the constant-0 risk "
+        "is the rate's first term",
+        ok,
+        "; ".join(details),
     )

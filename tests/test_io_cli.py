@@ -553,6 +553,20 @@ class TestSplitParse:
         assert load_outcome(load_coverage_csv, path) == want
         assert len(forks) == 1 and calls == [6]
 
+    def test_ignored_sigchld_gives_one_block(self, tmp_path, monkeypatch, forks):
+        """Where SIGCHLD is ignored the system would reap a child before the
+        wait, so the stage makes none: it parses one block in this process."""
+        path = write(tmp_path / "c.csv", split_text(5, 4))
+        want = self.one_block(path, monkeypatch)
+        calls = spy_exact(monkeypatch)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = load_outcome(load_coverage_csv, path)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert got == want
+        assert forks == [] and calls == []
+
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 @pytest.mark.parametrize(
@@ -1660,6 +1674,22 @@ class TestCliCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "permrow: numerical degeneracy: pooled variance is zero\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--test", "f"], "each group needs at least 2 observations"),
+            (["--test", "t"], "each sample needs at least 2 observations"),
+            (["--test", "t", "--variant", "pooled"], "each sample needs at least 2 observations"),
+        ],
+        ids=["f", "t-welch", "t-pooled"],
+    )
+    def test_group_of_one_exit_2_one_line(self, tmp_path, capsys, argv, message):
+        inp = write(tmp_path / "g.csv", "sampleId,group,value\na1,A,1\na2,A,2\nb1,B,3\n")
+        assert main(["compare", "--input", inp, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"permrow: error: {message}\n"
 
     @pytest.mark.parametrize("test", ["f", "t"])
     def test_non_finite_statistic_exit_3_one_line(self, tmp_path, capsys, test):
