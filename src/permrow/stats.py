@@ -2,7 +2,9 @@
 
 P-values go through a self-contained regularized incomplete beta function
 (modified Lentz continued fraction, relative tolerance 1e-12, 300-iteration
-cap) so that results are bit-reproducible across platforms.
+cap) so that results are bit-reproducible across platforms.  Both tests
+read the F upper tail ``f_sf``: a t statistic's two-sided p-value is
+P(F_{1, df} >= t^2), the F tail at t^2.
 """
 
 from __future__ import annotations
@@ -103,13 +105,6 @@ def f_sf(f: float, df1: int, df2: int) -> float:
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
 
 
-def t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value of a t statistic with ``df`` degrees of freedom.
-    At t = 0 the argument df / (df + t^2) is exactly 1, where the incomplete
-    beta is 1."""
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-
-
 def _clean_groups(groups: Sequence) -> list[np.ndarray]:
     """The groups as float arrays, all divided by 2**e with max |x| in
     [2**(e-1), 2**e).
@@ -183,4 +178,4 @@ def t_test_two_sample(
             raise DegenerateVariance("sample variances are too small for a finite Welch df")
         df = (a + b) ** 2 / den
     t = (mx - my) / se  # finite: |mx - my| <= 2 and se >= 2**-537
-    return TTestResult(statistic=t, df=df, p_value=t_two_sided_p(t, df))
+    return TTestResult(statistic=t, df=df, p_value=f_sf(t * t, 1, df))

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import shown
 from .matrix import center_rows, leading_singular_triple
 
 
@@ -70,43 +71,40 @@ def minimax_rate_extreme(
 ) -> float:
     """Minimax rate (constant 1) for an extreme column or the range.
 
-    First term (beta * t / sqrt(n)) * shrink + sigma * psi(n, p), with
-    beta = beta_r, beta_l, or beta_r + beta_l for target 'right', 'left',
-    or 'range'.  The shrink factor is the regime-wise simplification of
-    min(sigma * sqrt((t^2 + sigma^2 p) n) / t^2, 1): 1 in the weak regime,
-    sigma^2 sqrt(pn) / t^2 in the intermediate one, sigma sqrt(n) / t in
-    the strong one.  With r = t / sigma the first term is beta t / sqrt(n),
-    beta sigma sqrt(p) / r and beta sigma: it plateaus at beta * sigma exactly
-    once r^2 exceeds p, and the three pieces agree at the regime boundaries,
-    keeping the rate continuous in t.  Computed on r, never on t^2, the rate
-    scales with (t, sigma) exactly, and t = 0 gives the tail sigma * psi.
+    First term min(beta t / sqrt(n), beta sigma max(sqrt(p) / r, 1)) with
+    r = t / sigma, plus the tail sigma * psi(n, p); beta = beta_r, beta_l,
+    or beta_r + beta_l for target 'right', 'left', or 'range'.  This is
+    (beta t / sqrt(n)) min(sigma sqrt((t^2 + sigma^2 p) n) / t^2, 1) with
+    t^2 + sigma^2 p replaced by its larger term, so one continuous expression
+    in t.  Its three pieces, beta t / sqrt(n), beta sigma sqrt(p) / r and
+    beta sigma, are the ones ``classify_snr`` names weak, intermediate and
+    strong; for n > p the middle piece is never the minimum.  Computed on r,
+    never on t^2, the rate scales with (t, sigma) exactly, and t = 0 gives
+    the tail sigma * psi.  An unknown target raises ValueError.
     """
-    beta = {
-        "right": idx.beta_r,
-        "left": idx.beta_l,
-        "range": idx.beta_r + idx.beta_l,
-    }[target]
-    tail = idx.sigma * rate_psi(n, p)
-    regime = classify_snr(idx.t, idx.sigma, n, p)
-    if regime is SnrRegime.WEAK:
-        first = beta * idx.t / math.sqrt(n)
-    elif regime is SnrRegime.INTERMEDIATE:
-        first = beta * idx.sigma * (math.sqrt(float(p)) / (idx.t / idx.sigma))
-    else:
-        first = beta * idx.sigma
-    return first + tail
+    betas = {"right": idx.beta_r, "left": idx.beta_l, "range": idx.beta_r + idx.beta_l}
+    if target not in betas:
+        raise ValueError(f"target must be right, left or range, got {shown(target)}")
+    beta = betas[target]
+    tail = idx.sigma * rate_psi(n, p)  # checks n and p
+    r = idx.t / idx.sigma
+    plateau = max(math.sqrt(float(p)) / r, 1.0) if r else 1.0
+    return min(beta * idx.t / math.sqrt(n), beta * idx.sigma * plateau) + tail
 
 
 def classify_snr(t: float, sigma: float, n: int, p: int) -> SnrRegime:
-    """Weak / intermediate / strong SNR regime of t^2 against sigma^2 sqrt(np)
-    and sigma^2 p, compared as r^2 = (t / sigma)^2 against sqrt(np) and p, so
-    that no square of t or sigma overflows or underflows.  Exact boundaries
-    belong to the lower regime."""
+    """The piece of ``minimax_rate_extreme``'s first term that is the minimum:
+    weak (beta t / sqrt(n)) for r^2 <= max(sqrt(np), n), intermediate
+    (beta sigma sqrt(p) / r) up to r^2 <= p, strong (beta sigma) beyond, with
+    r = t / sigma, so that no square of t or sigma overflows or underflows.
+    For n <= p the weak bound is sqrt(np); for n > p it is n, above p, so
+    there is no intermediate regime.  Exact boundaries belong to the lower
+    regime."""
     _check_t_sigma(t, sigma)
     _check_n_p(n, p)
     r = t / sigma
     r2 = r * r  # not r ** 2, which raises OverflowError
-    if r2 <= math.sqrt(float(n) * p):
+    if r2 <= max(math.sqrt(float(n) * p), n):
         return SnrRegime.WEAK
     if r2 <= p:
         return SnrRegime.INTERMEDIATE

@@ -5,8 +5,9 @@ explicit projection-matrix product, eigendecomposition via hand-rolled
 cyclic Jacobi rotations, ranking via lexicographic sorting, least squares
 via exact rational normal equations, the regression estimate via the
 paper's sort-then-fit steps, coverage CSV parsing via one
-``float()`` call per cell, and a Monte Carlo replicate via the whole n x p
-signal matrix, whose columns are then permuted.
+``float()`` call per cell, a Monte Carlo replicate via the whole n x p
+signal matrix, whose columns are then permuted, and the minimax rate via
+the earlier regime-wise dispatch, which holds for n <= p.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from permrow import (
     ParseError,
     PermutationKind,
     ScenarioKind,
+    rate_psi,
     spectral_extremes,
 )
 
@@ -190,3 +192,19 @@ def composed_replicate(spec, rng):
     if spec.sigma > 0:
         y = y + spec.sigma * rng.standard_normal((n, p))
     return y, (theta[:, -1], theta[:, 0], theta[:, -1] - theta[:, 0])
+
+
+def regime_wise_rate(idx, n: int, p: int, target: str) -> tuple[str, float]:
+    """(regime label, minimax rate) by the earlier three-way dispatch: the
+    regime from r^2 = (t / sigma)^2 against sqrt(np) and p, and then that
+    regime's piece of the first term, beta t / sqrt(n), beta sigma sqrt(p) / r
+    or beta sigma, plus the tail sigma psi.  The reference for n <= p only:
+    for n > p it labels sqrt(np) < r^2 <= n strong and jumps there."""
+    beta = {"right": idx.beta_r, "left": idx.beta_l, "range": idx.beta_r + idx.beta_l}[target]
+    tail = idx.sigma * rate_psi(n, p)
+    r = idx.t / idx.sigma
+    if r * r <= math.sqrt(float(n) * p):
+        return "weak", beta * idx.t / math.sqrt(n) + tail
+    if r * r <= p:
+        return "intermediate", beta * idx.sigma * (math.sqrt(float(p)) / r) + tail
+    return "strong", beta * idx.sigma + tail

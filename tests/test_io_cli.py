@@ -1415,6 +1415,17 @@ class TestCliRates:
         assert doc["psi"] == pytest.approx(math.sqrt(math.log(10000) / 100))
         assert doc["rate"] > doc["psi"]
 
+    def test_tall_weak_up_to_n(self, capsys):
+        # n > p: weak up to (t / sigma)^2 = n = 2000, so t = 40 is weak,
+        # where the earlier dispatch said strong above sqrt(np) = 1000
+        code = main(["rates", "--t", "40", "--beta-r", "0.5", "--sigma", "1",
+                     "--n", "2000", "--p", "500"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert '"regime": "weak"' in out
+        assert json.loads(out)["rate"] == 0.5 * 40 / math.sqrt(2000) + math.sqrt(math.log(500) / 2000)
+
     def test_range_rate_with_beta_l(self, capsys):
         code = main(
             ["rates", "--t", "200", "--beta-r", "0.5", "--beta-l", "0.25",

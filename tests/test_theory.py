@@ -20,6 +20,8 @@ from permrow import (
     signal_indices,
     synthesize_observation,
 )
+from oracles import regime_wise_rate
+from permrow.errors import shown
 from strategies import SHAPES, gapped_matrix
 
 
@@ -119,6 +121,15 @@ class TestClassifySnr:
         assert classify_snr(math.sqrt(5000), 1.0, 100, 10_000) is SnrRegime.INTERMEDIATE
         assert classify_snr(math.sqrt(20000), 1.0, 100, 10_000) is SnrRegime.STRONG
 
+    def test_tall_weak_up_to_n_then_strong(self):
+        # n = 2000 > p = 500: weak up to r^2 = n = 2000 (44.7^2 = 1998.09),
+        # strong beyond (44.8^2 = 2007.04), never intermediate
+        n, p = 2000, 500
+        assert classify_snr(44.7, 1.0, n, p) is SnrRegime.WEAK
+        assert classify_snr(44.8, 1.0, n, p) is SnrRegime.STRONG
+        labels = {classify_snr(t, 1.0, n, p) for t in np.linspace(0.0, 200.0, 20001)}
+        assert labels == {SnrRegime.WEAK, SnrRegime.STRONG}
+
     def test_collapsed_boundaries_tie_to_weak(self):
         n = p = 64
         assert classify_snr(math.sqrt(n), 1.0, n, p) is SnrRegime.WEAK
@@ -143,6 +154,107 @@ class TestClassifySnr:
         idx = SignalIndices(t=100 * t_strong, beta_r=1.0, beta_l=1.0, sigma=sigma)
         tail = sigma * rate_psi(n, p)
         assert minimax_rate_extreme(idx, n, p) - tail == pytest.approx(sigma, rel=1e-3)
+
+
+TARGETS = ("right", "left", "range")
+
+
+def _first_term_piece(t, sigma, beta, n, p):
+    """The piece of the rate's first term that ``classify_snr`` names."""
+    regime = classify_snr(t, sigma, n, p)
+    if regime is SnrRegime.WEAK:
+        return beta * t / math.sqrt(n)
+    if regime is SnrRegime.INTERMEDIATE:
+        return beta * sigma * (math.sqrt(p) / (t / sigma))
+    return beta * sigma
+
+
+# (n, p) with n = lo and p >= n, or with p = lo + 1 and n > p
+N_P_SIDES = dict(
+    lo=st.integers(1, 10**5), gap=st.integers(0, 10**5), tall=st.booleans()
+)
+
+
+def _n_p(lo, gap, tall):
+    return (lo + gap + 2, lo + 1) if tall else (lo, max(lo + gap, 2))
+
+
+class TestOneExpression:
+    """The rate is one continuous expression in t, and the regime labels
+    which of its pieces is the minimum."""
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(50, 1000), (100, 10000), (150, 1000), (25, 400), (64, 64), (2, 3), (1, 2), (200, 20000)],
+    )
+    def test_wide_bit_identical_to_regime_wise(self, n, p):
+        # for n <= p the labels and rates equal the earlier dispatch's
+        ts = [0.0, *np.logspace(-3, 6, 3000).tolist()]
+        for sigma in (1.0, 0.75, 3.0):
+            got, expected = [], []
+            for t in ts:
+                idx = SignalIndices(t=t, beta_r=0.4, beta_l=0.3, sigma=sigma)
+                label = classify_snr(t, sigma, n, p).value
+                for target in TARGETS:
+                    got.append((label, minimax_rate_extreme(idx, n, p, target)))
+                    expected.append(regime_wise_rate(idx, n, p, target))
+            assert got == expected
+
+    @pytest.mark.parametrize("n, p", [(2000, 500), (1000, 10), (3, 2)])
+    def test_tall_continuous_in_t(self, n, p):
+        # the earlier dispatch jumped by 0.38, 1.88 and 0.07 of the range rate
+        # between neighbouring t here, at r^2 = sqrt(np)
+        ts = np.logspace(-2, 4, 20001).tolist()
+        for target in TARGETS:
+            rates = np.array([
+                minimax_rate_extreme(SignalIndices(t=t, beta_r=0.5, beta_l=0.3, sigma=1.0), n, p, target)
+                for t in ts
+            ])
+            assert np.max(np.abs(np.diff(rates)) / rates[:-1]) < 1e-3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        **N_P_SIDES,
+        r=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0**e)),
+        sigma=st.floats(1e-3, 1e3),
+        beta=st.floats(0.0, 1.0),
+    )
+    def test_first_term_is_the_labelled_piece(self, lo, gap, tall, r, sigma, beta):
+        n, p = _n_p(lo, gap, tall)
+        t = r * sigma
+        rate = minimax_rate_extreme(SignalIndices(t=t, beta_r=beta, beta_l=0.0, sigma=sigma), n, p)
+        tail = sigma * rate_psi(n, p)
+        piece = _first_term_piece(t, sigma, beta, n, p)
+        # relative 1e-12, plus the rounding of the sum first + tail
+        assert abs((rate - tail) - piece) <= 1e-12 * piece + 2 * math.ulp(rate)
+        if tall:
+            assert classify_snr(t, sigma, n, p) is not SnrRegime.INTERMEDIATE
+
+    @settings(max_examples=300, deadline=None)
+    @given(**N_P_SIDES, sigma=st.floats(1e-3, 1e3), beta=st.floats(0.0, 1.0))
+    def test_continuous_across_each_boundary(self, lo, gap, tall, sigma, beta):
+        n, p = _n_p(lo, gap, tall)
+        weak_bound = max(math.sqrt(float(n) * p), n)
+        for bound in (weak_bound, p):
+            t0 = sigma * math.sqrt(bound)
+            below, above = t0 * (1 - 1e-9), t0 * (1 + 1e-9)
+            rates = [
+                minimax_rate_extreme(SignalIndices(t=t, beta_r=beta, beta_l=beta, sigma=sigma), n, p, "range")
+                for t in (below, above)
+            ]
+            assert abs(rates[1] - rates[0]) < 1e-6 * rates[0]
+            if bound == weak_bound:
+                assert classify_snr(below, sigma, n, p) is SnrRegime.WEAK
+                assert classify_snr(above, sigma, n, p) is not SnrRegime.WEAK
+
+
+@pytest.mark.parametrize("target", ["Range", "x" * 10**6], ids=["Range", "long"])
+def test_unknown_target_raises_value_error(target):
+    with pytest.raises(ValueError) as info:
+        minimax_rate_extreme(SignalIndices(t=5.0, beta_r=0.5, beta_l=0.5, sigma=1.0), 50, 1000, target)
+    message = str(info.value)
+    assert message == f"target must be right, left or range, got {shown(target)}"
+    assert len(message.encode("utf-8")) < 300
 
 
 def _linear_signal(short, long, tall, seed, centred):
